@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from typing import Optional
 
 from . import expr
 from .errors import DegenerateBasis, EvaluationError, InvalidSpec, ParseError, ZeroVector
-from .geometry import Point2, Vec2, angle_between, sample_function, secant_coefficients
+from .geometry import Point2, Vec2, _unit, angle_between, sample_function, secant_coefficients
 from .probe import (
     CoefficientTrajectory,
     ProbeConfig,
@@ -37,8 +36,9 @@ from .probe import (
     Verdict,
     default_sequence_specs,
     probe,
+    random_spec_floor,
 )
-from .sequences import SequenceKind, SequenceSpec, counterexample_points
+from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,14 +76,13 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
             d = Vec2(float(dx_text), float(dy_text))
         except ValueError:
             raise InvalidSpec(f"radial entry needs a direction 'radial:DX,DY', got {entry!r}")
-        n = d.norm()
-        if n == 0.0:
+        if d.is_zero():
             raise InvalidSpec("radial direction must be nonzero")
         return SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base,
-                            direction=Vec2(d.dx / n, d.dy / n))
+                            direction=Vec2(*_unit(d)))
     if kind == "random":
         seed = 0
-        floor = max(0.7, angle_floor)
+        floor = random_spec_floor(angle_floor)
         for item in filter(None, (s.strip() for s in args.split(","))):
             key, _, value = item.partition("=")
             if key == "seed":
@@ -266,18 +265,15 @@ def cmd_probe(args) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        _emit(json.dumps(_report_json(report, cfg, args.point), indent=2) + "\n",
-              args.out)
-    elif args.format == "csv":
-        _emit(_probe_csv(report), args.out)
+        text = json.dumps(_report_json(report, cfg, args.point), indent=2) + "\n"
     else:
-        _emit(_probe_table(report), args.out)
+        text = (_probe_csv if args.format == "csv" else _probe_table)(report)
+    _emit(text, args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
 def _counterexample_rows(kmax: int) -> list[dict]:
     f = lambda x, y: x * x + y * y
-    origin = Point2(0.0, 0.0)
     rows = []
     for k in range(1, kmax + 1):
         a, b, c = counterexample_points(k)
@@ -285,7 +281,7 @@ def _counterexample_rows(kmax: int) -> list[dict]:
         cos_k = math.cos(1.0 / k)
         for pairing, companion, beta_target in (("ab", b, 2.0 - cos_k),
                                                 ("ac", c, 3.0 - cos_k)):
-            coeffs = secant_coefficients(sample_function(f, origin, a, companion))
+            coeffs = secant_coefficients(sample_function(f, ORIGIN, a, companion))
             rows.append({
                 "pairing": pairing, "k": k,
                 "alpha": coeffs.alpha, "beta": coeffs.beta,
@@ -356,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--point", required=True, type=_parse_point, help="base point 'x,y'")
     prb.add_argument("--p", type=float, default=0.1,
                      help="uniform angle floor p in (0,1) (default 0.1)")
-    prb.add_argument("--steps", type=int, default=40, help="max steps per sequence")
+    prb.add_argument("--steps", type=int, default=40,
+                     help="max steps per sequence; radial and random specs stop at step 20 "
+                          "(1e-7 radius), so more steps only lengthen counterexample specs")
     prb.add_argument("--seqs", action="append", default=None, metavar="SPEC",
                      help="sequence specs, ';'-separated or repeated: "
                           "'radial:DX,DY', 'random:seed=N,floor=P', "

@@ -9,7 +9,7 @@ Grammar, lowest to highest precedence:
     atom    := NUMBER | 'x' | 'y' | 'pi' | 'e'
              | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := sin | cos | tan | exp | log | sqrt | abs
-    NUMBER  := digits ('.' digits)? (('e'|'E') ('+'|'-')? digits)?
+    NUMBER  := digits ('.' digits)? (('e'|'E') ('+'|'-')? digits)?   finite
 
 ``^`` binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``. Implicit
 multiplication is not supported, whitespace is insignificant, and ``log`` is
@@ -155,6 +155,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, _ = self.peek()
         if kind == "number":
+            if not math.isfinite(float(text)):
+                raise self.fail("a number literal within the binary64 range")
             self.advance()
             return Num(float(text))
         if kind == "name":

@@ -58,10 +58,6 @@ class Vec2:
     def scaled(self, s: float) -> "Vec2":
         return Vec2(self.dx * s, self.dy * s)
 
-    def perp(self) -> "Vec2":
-        """Rotation by +90 degrees; exact (only negation and swap)."""
-        return Vec2(-self.dy, self.dx)
-
     def is_zero(self) -> bool:
         return self.dx == 0.0 and self.dy == 0.0
 
@@ -156,20 +152,27 @@ def sample_function(f: ScalarField, base: Point2, a: Point2, b: Point2) -> Secan
                         field_value(f, base), field_value(f, a), field_value(f, b))
 
 
+def _unit(v: Vec2) -> tuple[float, float]:
+    """The components of ``v / |v|`` for a nonzero ``v``."""
+    n = v.norm()
+    if n < 2.0 ** -1022:
+        # A subnormal norm is too coarse for a unit v / n; this scaling is exact.
+        return _unit(v.scaled(2.0 ** 1000))
+    return v.dx / n, v.dy / n
+
+
 def angle_between(u: Vec2, v: Vec2) -> BasisQuality:
     """Angle diagnostics between two nonzero directions.
 
     Raises:
         ZeroVector: if either direction has zero length.
     """
-    nu = u.norm()
-    nv = v.norm()
-    if nu == 0.0:
+    if u.is_zero():
         raise ZeroVector("first direction has zero length")
-    if nv == 0.0:
+    if v.is_zero():
         raise ZeroVector("second direction has zero length")
-    ux, uy = u.dx / nu, u.dy / nu
-    vx, vy = v.dx / nv, v.dy / nv
+    ux, uy = _unit(u)
+    vx, vy = _unit(v)
     det = ux * vy - uy * vx
     cos_theta = min(1.0, max(-1.0, ux * vx + uy * vy))
     # sin(theta) must track |det| to <= 1e-12 for all inputs, including
@@ -240,10 +243,8 @@ def normalized_inverse_entry_bound(s: SecantSample) -> float:
         DegenerateBasis: if the directions are exactly parallel.
     """
     u, v = s.basis()
-    nu = u.norm()
-    nv = v.norm()
-    ux, uy = u.dx / nu, u.dy / nu
-    vx, vy = v.dx / nv, v.dy / nv
+    ux, uy = _unit(u)
+    vx, vy = _unit(v)
     det = ux * vy - uy * vx
     if det == 0.0:
         raise DegenerateBasis("parallel directions: normalized basis is singular", 0.0)

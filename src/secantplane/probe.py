@@ -30,16 +30,14 @@ from .geometry import (
     PlaneCoeffs,
     Point2,
     ScalarField,
+    SecantSample,
     Vec2,
     angle_between,
     field_value,
     residual_ratio,
-    sample_function,
     secant_coefficients,
 )
-from .sequences import SequenceKind, SequenceSpec, generate
-
-_COUNTEREXAMPLE_KINDS = (SequenceKind.COUNTEREXAMPLE_AB, SequenceKind.COUNTEREXAMPLE_AC)
+from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, generate
 
 
 class Verdict(Enum):
@@ -128,14 +126,15 @@ class ProbeReport:
     residual_checks: tuple[tuple[float, float], ...]
 
 
+def random_spec_floor(angle_floor: float) -> float:
+    """The floor of a random spec that sets none: keeping its conditioning
+    1/sin(theta) near 1 keeps its limit error near the radial trajectories'."""
+    return max(0.7, angle_floor)
+
+
 def default_sequence_specs(base: Point2, angle_floor: float = 0.1,
                            seed: int = 0) -> tuple[SequenceSpec, ...]:
-    """Two orthogonal radial approaches plus one random-direction approach.
-
-    The random spec carries a floor of at least 0.7: its per-step conditioning
-    is 1/sin(theta), and keeping that near 1 keeps its limit error comparable
-    to the radial trajectories'.
-    """
+    """Two orthogonal radial approaches plus one random-direction approach."""
     diag = math.sqrt(0.5)
     return (
         SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base,
@@ -143,7 +142,7 @@ def default_sequence_specs(base: Point2, angle_floor: float = 0.1,
         SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base,
                      direction=Vec2(diag, diag)),
         SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=base,
-                     angle_floor=max(0.7, angle_floor), seed=seed),
+                     angle_floor=random_spec_floor(angle_floor), seed=seed),
     )
 
 
@@ -174,7 +173,7 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
         raise InvalidSpec(
             f"sequence spec base ({spec.base.x}, {spec.base.y}) does not match "
             f"the probed base ({base.x}, {base.y})")
-    exempt = spec.kind in _COUNTEREXAMPLE_KINDS
+    exempt = spec.kind in FLOOR_EXEMPT_KINDS
     z_base = field_value(f, base)
 
     steps: list[TrajectoryStep] = []
@@ -192,7 +191,8 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
             raise DegenerateBasis(
                 f"spec {spec.kind.value} violated the angle floor at step {k}",
                 quality.sin_theta)
-        sample = sample_function(f, base, pair.a, pair.b)
+        sample = SecantSample(base, pair.a, pair.b, z_base,
+                              field_value(f, pair.a), field_value(f, pair.b))
         try:
             coeffs = secant_coefficients(sample, DEFAULT_DEGENERACY_FLOOR)
         except DegenerateBasis:
@@ -252,13 +252,11 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
         verdict = Verdict.CONSISTENT_WITH_DIFFERENTIABLE
         estimate = (sum(l[0] for l in limits) / len(limits),
                     sum(l[1] for l in limits) / len(limits))
-        z_base = field_value(f, base)
-        plane = PlaneCoeffs(base.x, base.y, z_base, estimate[0], estimate[1])
+        plane = PlaneCoeffs(base.x, base.y, converged[0].limit.z0, *estimate)
         checks = []
         for step in converged[0].steps:
             r = step.radius
-            q = Point2(base.x + r, base.y)
-            z_delta = field_value(f, q) - z_base
+            z_delta = field_value(f, Point2(base.x + r, base.y)) - plane.z0
             checks.append((r, residual_ratio(z_delta, plane, Vec2(r, 0.0))))
         residual_checks = tuple(checks)
     else:

@@ -47,7 +47,8 @@ class SequenceKind(Enum):
     RANDOM_ANGLE_FLOOR = "random"
 
 
-_COUNTEREXAMPLE_KINDS = (SequenceKind.COUNTEREXAMPLE_AB, SequenceKind.COUNTEREXAMPLE_AC)
+#: The collapsing-angle kinds: pinned to the origin, exempt from the probe's floor.
+FLOOR_EXEMPT_KINDS = (SequenceKind.COUNTEREXAMPLE_AB, SequenceKind.COUNTEREXAMPLE_AC)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class SequenceSpec:
             raise InvalidSpec(f"direction must be unit length, |d|={self.direction.norm()!r}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed!r}")
-        if self.kind in _COUNTEREXAMPLE_KINDS and (self.base.x != 0.0 or self.base.y != 0.0):
+        if self.kind in FLOOR_EXEMPT_KINDS and (self.base.x != 0.0 or self.base.y != 0.0):
             raise InvalidSpec("counterexample sequences are defined around the origin")
 
 
@@ -126,7 +127,7 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
     if k < 1:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
 
-    if spec.kind in _COUNTEREXAMPLE_KINDS:
+    if spec.kind in FLOOR_EXEMPT_KINDS:
         a, b, c = counterexample_points(k)
         if math.sin(1.0 / k) < MIN_RADIUS:
             raise RadiusUnderflow(

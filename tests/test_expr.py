@@ -74,6 +74,12 @@ class TestParsing:
             parse("x % y")
         assert exc_info.value.offset == 2
 
+    def test_non_finite_literal_rejected_at_its_offset(self):
+        for source, offset in (("1e999", 0), ("x+1e999", 2)):
+            with pytest.raises(ParseError) as exc_info:
+                parse(source)
+            assert exc_info.value.offset == offset
+
     def test_whitespace_insignificant(self):
         assert parse(" x + y ") == parse("x+y")
 

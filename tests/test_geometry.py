@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secantplane import (
@@ -94,6 +94,8 @@ class TestAngleBetween:
             angle_between(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
 
     @given(finite, finite, finite, finite)
+    @example(0.0, 1.0, 5e-324, 5e-324)
+    @example(0.0, 1.0, 2.2250738585e-313, 2.2250738585e-313)
     def test_quality_invariants_hold_for_all_inputs(self, ux, uy, vx, vy):
         assume((ux, uy) != (0.0, 0.0) and (vx, vy) != (0.0, 0.0))
         u, v = Vec2(ux, uy), Vec2(vx, vy)

@@ -163,6 +163,44 @@ class TestProbeVerdicts:
         assert probe(f, base, cfg) == probe(f, base, cfg)
 
 
+class CountingField:
+    """A scalar field that counts its evaluations."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.f(x, y)
+
+
+class TestEvaluationCount:
+    def test_default_probe_at_a_smooth_point(self):
+        base = Point2(1.0, 2.0)
+        f = CountingField(SQUARE)
+        report = probe(f, base, default_cfg(base))
+        assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
+        # Three trajectories of f(P) plus two companions at each of 20 steps,
+        # then one residual check per retained radius.
+        assert [len(t.steps) for t in report.trajectories] == [20, 20, 20]
+        assert len(report.residual_checks) == 20
+        assert f.calls == 3 * (1 + 2 * 20) + 20
+
+    @pytest.mark.parametrize("spec", [
+        radial(ORIGIN, 1.0, 0.0),
+        SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, seed=7),
+        SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB),
+    ], ids=lambda s: s.kind.value)
+    def test_trajectory_evaluates_base_once(self, spec):
+        cfg = ProbeConfig(sequence_specs=(spec, radial(ORIGIN, 0.0, 1.0)), max_steps=50)
+        f = CountingField(SQUARE)
+        traj = run_trajectory(f, ORIGIN, spec, cfg)
+        pairs = len(traj.steps) + len(traj.degenerate_steps)
+        assert pairs == (50 if traj.floor_exempt else 20)
+        assert f.calls == 1 + 2 * pairs
+
+
 class TestGradientCoherence:
     @pytest.mark.parametrize("name,f,grad,base", list(battery_cases()),
                              ids=lambda v: v if isinstance(v, str) else "")
