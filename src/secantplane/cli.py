@@ -27,7 +27,7 @@ import sys
 from typing import Optional
 
 from . import expr
-from .errors import DegenerateBasis, EvaluationError, InvalidSpec, ParseError, ZeroVector
+from .errors import DegenerateBasis, InvalidSpec
 from .geometry import Point2, Vec2, _unit, angle_between, sample_function, secant_coefficients
 from .probe import (
     CoefficientTrajectory,
@@ -184,7 +184,7 @@ def cmd_estimate(args) -> int:
     except DegenerateBasis as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ParseError, EvaluationError, ZeroVector, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -260,7 +260,7 @@ def cmd_probe(args) -> int:
         cfg = ProbeConfig(sequence_specs=specs, angle_floor=args.p,
                           max_steps=args.steps)
         report = probe(f, args.point, cfg)
-    except (ParseError, EvaluationError, InvalidSpec, ZeroVector, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

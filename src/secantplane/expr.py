@@ -24,6 +24,7 @@ instead of letting NaN or infinity propagate.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -33,6 +34,8 @@ from .geometry import Point2, ScalarField
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": math.pow}
 
 
 @dataclass(frozen=True)
@@ -221,20 +224,14 @@ def evaluate(e: Expr, p: Point2) -> float:
     if isinstance(e, BinOp):
         left = evaluate(e.left, p)
         right = evaluate(e.right, p)
-        if e.op == "+":
-            return _finite(left + right, e, p)
-        if e.op == "-":
-            return _finite(left - right, e, p)
-        if e.op == "*":
-            return _finite(left * right, e, p)
-        if e.op == "/":
-            if right == 0.0:
-                raise _domain_error("division by zero", e, p)
-            return _finite(left / right, e, p)
         try:
-            return _finite(math.pow(left, right), e, p)
+            value = _BINOPS[e.op](left, right)
+        except ZeroDivisionError:
+            raise _domain_error("division by zero", e, p) from None
         except (ValueError, OverflowError):
+            # Only math.pow raises these; float +, -, * and / overflow to inf.
             raise _domain_error(f"invalid power {left!r} ^ {right!r}", e, p) from None
+        return _finite(value, e, p)
     # Call
     arg = evaluate(e.arg, p)
     try:

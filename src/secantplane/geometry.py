@@ -205,10 +205,12 @@ def secant_coefficients(s: SecantSample,
             quality.sin_theta,
         )
     det = u.dx * v.dy - u.dy * v.dx
-    dz_a = s.z_a - s.z_base
-    dz_b = s.z_b - s.z_base
-    alpha = (dz_a * v.dy - dz_b * u.dy) / det
-    beta = (dz_b * u.dx - dz_a * v.dx) / det
+    dz_a, dz_b, unscale = s.z_a - s.z_base, s.z_b - s.z_base, 1.0
+    if abs(dz_a) < 2.0 ** -960 and abs(dz_b) < 2.0 ** -960:
+        # Their products would lose digits as subnormals; power-of-two scaling is exact.
+        dz_a, dz_b, unscale = dz_a * 2.0 ** 1000, dz_b * 2.0 ** 1000, 2.0 ** -1000
+    alpha = (dz_a * v.dy - dz_b * u.dy) / det * unscale
+    beta = (dz_b * u.dx - dz_a * v.dx) / det * unscale
     return PlaneCoeffs(s.base.x, s.base.y, s.z_base, alpha, beta)
 
 

@@ -150,6 +150,18 @@ class TestEvaluation:
         with pytest.raises(EvaluationError):
             ev("1e308*1e308")
 
+    @pytest.mark.parametrize("source,message", [
+        ("1/0", "division by zero"),
+        ("1e308+1e308", "non-finite result inf"),
+        ("(0-1)^0.5", "invalid power -1.0 ^ 0.5"),
+        ("2^1024", "invalid power 2.0 ^ 1024.0"),
+    ])
+    def test_binary_operator_error_messages(self, source, message):
+        with pytest.raises(EvaluationError) as exc_info:
+            ev(source, x=0.5, y=-1.0)
+        assert str(exc_info.value) == f"{message} at (0.5, -1.0)"
+        assert isinstance(exc_info.value.node, BinOp)
+
     def test_fractional_power_of_negative(self):
         with pytest.raises(EvaluationError):
             ev("x^0.5", x=-2.0)

@@ -179,6 +179,13 @@ class TestSecantCoefficients:
         coeffs = secant_coefficients(sample)
         assert_interpolates(coeffs, sample)
 
+    def test_interpolation_within_8_ulp_for_subnormal_z_differences(self):
+        # Without scaling, the products of these z-differences underflow into
+        # subnormals and the plane misses z_b by more than 8 ulp.
+        sample = SecantSample(Point2(-2.0, -2.0), Point2(-1.00049, -1.96876),
+                              Point2(-1.5, -2.0), 0.0, 0.0, 2.225e-309)
+        assert_interpolates(secant_coefficients(sample), sample)
+
     @given(finite, finite, radii, radii, angles, angles, zvals, zvals, zvals)
     @settings(max_examples=200)
     def test_label_symmetry(self, bx, by, ra, rb, pa, pb, z0, za, zb):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantplane import (
     DegenerateBasis,
@@ -8,13 +10,18 @@ from secantplane import (
     InvalidSpec,
     Point2,
     ProbeConfig,
+    RadiusUnderflow,
     SequenceKind,
     SequenceSpec,
     Vec2,
     Verdict,
+    angle_between,
     default_sequence_specs,
+    generate,
     probe,
     run_trajectory,
+    sample_function,
+    secant_coefficients,
 )
 from helpers import battery_cases, ulps
 
@@ -199,6 +206,42 @@ class TestEvaluationCount:
         pairs = len(traj.steps) + len(traj.degenerate_steps)
         assert pairs == (50 if traj.floor_exempt else 20)
         assert f.calls == 1 + 2 * pairs
+
+
+class TestTrajectorySteps:
+    @given(st.sampled_from(SequenceKind),
+           st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=0.0, max_value=math.tau), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_steps_match_the_public_api_bit_for_bit(self, kind, bx, by, phi, seed):
+        f = lambda x, y: math.sin(3.0 * x) * math.cos(y) + math.exp(x - 2.0 * y)
+        base = Point2(bx, by)
+        if kind is SequenceKind.RADIAL_ORTHOGONAL:
+            spec = radial(base, math.cos(phi), math.sin(phi))
+        elif kind is SequenceKind.RANDOM_ANGLE_FLOOR:
+            spec = SequenceSpec(kind, base=base, angle_floor=0.7, seed=seed)
+        else:
+            base = ORIGIN  # the collapsing-angle pairings are defined at the origin only
+            spec = SequenceSpec(kind)
+        cfg = ProbeConfig(sequence_specs=(spec, radial(base, 1.0, 0.0)), max_steps=40)
+        traj = run_trajectory(f, base, spec, cfg)
+
+        expected = []
+        for k in range(1, cfg.max_steps + 1):
+            try:
+                pair = generate(spec, k)
+            except RadiusUnderflow:
+                break
+            sin_theta = angle_between(pair.a - base, pair.b - base).sin_theta
+            plane = secant_coefficients(sample_function(f, base, pair.a, pair.b))
+            expected.append((k, plane.alpha, plane.beta, sin_theta,
+                             (pair.a - base).norm(), sin_theta >= cfg.angle_floor))
+        got = [(s.k, s.alpha, s.beta, s.sin_theta, s.radius, s.meets_floor)
+               for s in traj.steps]
+        assert traj.degenerate_steps == ()
+        # Tuples of floats compare with ==, so -0.0 and 0.0 would pass as equal;
+        # repr tells them apart.
+        assert repr(got) == repr(expected)
 
 
 class TestGradientCoherence:
