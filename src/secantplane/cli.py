@@ -19,9 +19,7 @@ Python's shortest round-trip float rendering, which is also bit-exact.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from typing import Optional
@@ -39,6 +37,9 @@ from .probe import (
     random_spec_floor,
 )
 from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
+
+# json and csv are imported where an output format needs them: they are a
+# tenth of the import time of this module, and most calls need one of them.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,7 +80,7 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
         if d.is_zero():
             raise InvalidSpec("radial direction must be nonzero")
         return SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base,
-                            direction=Vec2(*_unit(d)))
+                            direction=Vec2(*_unit(d.dx, d.dy)))
     if kind == "random":
         seed = 0
         floor = random_spec_floor(angle_floor)
@@ -194,8 +195,10 @@ def cmd_estimate(args) -> int:
         "sin_theta": quality.sin_theta,
     }
     if args.format == "json":
+        import json
         print(json.dumps(fields, indent=2))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(fields)
         writer.writerow([_g17(v) for v in fields.values()])
@@ -208,6 +211,7 @@ def cmd_estimate(args) -> int:
 
 
 def _probe_csv(report: ProbeReport) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["spec_index", "kind", "k", "radius", "sin_theta", "alpha",
@@ -265,6 +269,7 @@ def cmd_probe(args) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
+        import json
         text = json.dumps(_report_json(report, cfg, args.point), indent=2) + "\n"
     else:
         text = (_probe_csv if args.format == "csv" else _probe_table)(report)
@@ -304,6 +309,7 @@ def cmd_counterexample(args) -> int:
         return EXIT_USAGE
     rows = _counterexample_rows(args.kmax)
     if args.format == "json":
+        import json
         payload = {
             "rows": rows,
             "summary": [{"plane": name, "alpha": a, "beta": b}
@@ -311,6 +317,7 @@ def cmd_counterexample(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(["pairing", "k", "alpha", "beta", "alpha_check", "beta_check"])
         for row in rows:

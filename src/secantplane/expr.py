@@ -27,6 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Union
 
 from .errors import EvaluationError, ParseError
@@ -241,9 +242,61 @@ def evaluate(e: Expr, p: Point2) -> float:
     return _finite(value, e, p)
 
 
+def _compile(e: Expr) -> ScalarField:
+    """One closure per node doing what :func:`evaluate` does at that node."""
+    if isinstance(e, Num):
+        value = e.value
+        return lambda x, y: value
+    if isinstance(e, Var):
+        return (lambda x, y: x) if e.name == "x" else (lambda x, y: y)
+    if isinstance(e, Const):
+        value = CONSTANTS[e.name]
+        return lambda x, y: value
+    if isinstance(e, Neg):
+        operand = _compile(e.operand)
+        return lambda x, y: -operand(x, y)
+    if isinstance(e, BinOp):
+        op, left_of, right_of = _BINOPS[e.op], _compile(e.left), _compile(e.right)
+
+        def binop(x, y):
+            left = left_of(x, y)
+            right = right_of(x, y)
+            try:
+                value = op(left, right)
+            except ZeroDivisionError:
+                raise _domain_error("division by zero", e, Point2(x, y)) from None
+            except (ValueError, OverflowError):
+                raise _domain_error(f"invalid power {left!r} ^ {right!r}", e,
+                                    Point2(x, y)) from None
+            return value if isfinite(value) else _finite(value, e, Point2(x, y))
+        return binop
+    # Call
+    func, arg_of = abs if e.func == "abs" else getattr(math, e.func), _compile(e.arg)
+
+    def call(x, y):
+        arg = arg_of(x, y)
+        try:
+            value = func(arg)
+        except (ValueError, OverflowError):
+            raise _domain_error(f"{e.func} undefined for {arg!r}", e, Point2(x, y)) from None
+        return value if isfinite(value) else _finite(value, e, Point2(x, y))
+    return call
+
+
 def as_function(e: Expr) -> ScalarField:
-    """Wrap a tree as a plain ``f(x, y) -> float`` callable."""
-    return lambda x, y: evaluate(e, Point2(x, y))
+    """Compile a tree into a plain ``f(x, y) -> float`` callable.
+
+    The tree is compiled once into nested closures that do what
+    :func:`evaluate` does, node for node: the same operations in the same
+    order, the same domain checks and the same errors.
+    """
+    run = _compile(e)
+
+    def f(x, y):
+        if not (isfinite(x) and isfinite(y)):
+            Point2(x, y)   # raises for the first non-finite coordinate
+        return run(x, y)
+    return f
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

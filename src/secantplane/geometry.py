@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 from .errors import DegenerateBasis, EvaluationError, ZeroVector
@@ -34,8 +35,9 @@ ScalarField = Callable[[float, float], float]
 
 
 def _require_finite(**fields: float) -> None:
+    # Called only once a fast check has failed, to name the offending field.
     for name, value in fields.items():
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -47,7 +49,8 @@ class Vec2:
     dy: float
 
     def __post_init__(self):
-        _require_finite(dx=self.dx, dy=self.dy)
+        if not (isfinite(self.dx) and isfinite(self.dy)):
+            _require_finite(dx=self.dx, dy=self.dy)
 
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
@@ -70,7 +73,8 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        _require_finite(x=self.x, y=self.y)
+        if not (isfinite(self.x) and isfinite(self.y)):
+            _require_finite(x=self.x, y=self.y)
 
     def __sub__(self, other: "Point2") -> Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
@@ -96,7 +100,8 @@ class SecantSample:
     z_b: float
 
     def __post_init__(self):
-        _require_finite(z_base=self.z_base, z_a=self.z_a, z_b=self.z_b)
+        if not (isfinite(self.z_base) and isfinite(self.z_a) and isfinite(self.z_b)):
+            _require_finite(z_base=self.z_base, z_a=self.z_a, z_b=self.z_b)
         if self.a.x == self.base.x and self.a.y == self.base.y:
             raise ZeroVector("companion a coincides with the base point")
         if self.b.x == self.base.x and self.b.y == self.base.y:
@@ -117,8 +122,10 @@ class PlaneCoeffs:
     beta: float
 
     def __post_init__(self):
-        _require_finite(x0=self.x0, y0=self.y0, z0=self.z0,
-                        alpha=self.alpha, beta=self.beta)
+        if not (isfinite(self.x0) and isfinite(self.y0) and isfinite(self.z0)
+                and isfinite(self.alpha) and isfinite(self.beta)):
+            _require_finite(x0=self.x0, y0=self.y0, z0=self.z0,
+                            alpha=self.alpha, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ class BasisQuality:
 def field_value(f: ScalarField, p: Point2) -> float:
     """Evaluate a scalar field at a point, requiring a finite result."""
     value = float(f(p.x, p.y))
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise EvaluationError(
             f"function returned non-finite value {value!r} at ({p.x}, {p.y})",
             point=p,
@@ -152,13 +159,37 @@ def sample_function(f: ScalarField, base: Point2, a: Point2, b: Point2) -> Secan
                         field_value(f, base), field_value(f, a), field_value(f, b))
 
 
-def _unit(v: Vec2) -> tuple[float, float]:
-    """The components of ``v / |v|`` for a nonzero ``v``."""
-    n = v.norm()
+def _unit(dx: float, dy: float) -> tuple[float, float]:
+    """The components of ``(dx, dy) / |(dx, dy)|`` for a nonzero vector."""
+    n = math.hypot(dx, dy)
     if n < 2.0 ** -1022:
         # A subnormal norm is too coarse for a unit v / n; this scaling is exact.
-        return _unit(v.scaled(2.0 ** 1000))
-    return v.dx / n, v.dy / n
+        return _unit(dx * 2.0 ** 1000, dy * 2.0 ** 1000)
+    return dx / n, dy / n
+
+
+def _det_normalized(ux: float, uy: float, vx: float,
+                    vy: float) -> tuple[float, float, float, float, float]:
+    """The determinant of ``[u/|u| | v/|v|]``, then the components of both units.
+
+    Validates the displacements as ``Vec2`` would, then as ``angle_between``
+    would, with the same messages.
+
+    Raises:
+        ValueError: if a component is not finite.
+        ZeroVector: if either displacement has zero length.
+    """
+    # A sum of finite values may overflow; the named check then finds nothing.
+    if not isfinite(ux + uy + vx + vy):
+        _require_finite(dx=ux, dy=uy)
+        _require_finite(dx=vx, dy=vy)
+    if ux == 0.0 and uy == 0.0:
+        raise ZeroVector("first direction has zero length")
+    if vx == 0.0 and vy == 0.0:
+        raise ZeroVector("second direction has zero length")
+    ux, uy = _unit(ux, uy)
+    vx, vy = _unit(vx, vy)
+    return ux * vy - uy * vx, ux, uy, vx, vy
 
 
 def angle_between(u: Vec2, v: Vec2) -> BasisQuality:
@@ -167,13 +198,7 @@ def angle_between(u: Vec2, v: Vec2) -> BasisQuality:
     Raises:
         ZeroVector: if either direction has zero length.
     """
-    if u.is_zero():
-        raise ZeroVector("first direction has zero length")
-    if v.is_zero():
-        raise ZeroVector("second direction has zero length")
-    ux, uy = _unit(u)
-    vx, vy = _unit(v)
-    det = ux * vy - uy * vx
+    det, ux, uy, vx, vy = _det_normalized(u.dx, u.dy, v.dx, v.dy)
     cos_theta = min(1.0, max(-1.0, ux * vx + uy * vy))
     # sin(theta) must track |det| to <= 1e-12 for all inputs, including
     # near-parallel directions where acos(cos_theta) alone loses half the
@@ -194,24 +219,25 @@ def secant_coefficients(s: SecantSample,
         DegenerateBasis: if sin(theta) of the basis falls below
             ``degeneracy_floor``; the exception carries the computed value.
     """
-    if not (degeneracy_floor > 0.0 and math.isfinite(degeneracy_floor)):
+    if not (degeneracy_floor > 0.0 and isfinite(degeneracy_floor)):
         raise ValueError("degeneracy_floor must be positive and finite")
-    u, v = s.basis()
-    quality = angle_between(u, v)
-    if quality.sin_theta < degeneracy_floor:
+    x0, y0 = s.base.x, s.base.y
+    ux, uy, vx, vy = s.a.x - x0, s.a.y - y0, s.b.x - x0, s.b.y - y0
+    sin_theta = abs(_det_normalized(ux, uy, vx, vy)[0])
+    if sin_theta < degeneracy_floor:
         raise DegenerateBasis(
-            f"secant basis sin(theta)={quality.sin_theta:.6e} is below "
+            f"secant basis sin(theta)={sin_theta:.6e} is below "
             f"the floor {degeneracy_floor:.6e}",
-            quality.sin_theta,
+            sin_theta,
         )
-    det = u.dx * v.dy - u.dy * v.dx
+    det = ux * vy - uy * vx
     dz_a, dz_b, unscale = s.z_a - s.z_base, s.z_b - s.z_base, 1.0
     if abs(dz_a) < 2.0 ** -960 and abs(dz_b) < 2.0 ** -960:
         # Their products would lose digits as subnormals; power-of-two scaling is exact.
         dz_a, dz_b, unscale = dz_a * 2.0 ** 1000, dz_b * 2.0 ** 1000, 2.0 ** -1000
-    alpha = (dz_a * v.dy - dz_b * u.dy) / det * unscale
-    beta = (dz_b * u.dx - dz_a * v.dx) / det * unscale
-    return PlaneCoeffs(s.base.x, s.base.y, s.z_base, alpha, beta)
+    alpha = (dz_a * vy - dz_b * uy) / det * unscale
+    beta = (dz_b * ux - dz_a * vx) / det * unscale
+    return PlaneCoeffs(x0, y0, s.z_base, alpha, beta)
 
 
 def plane_eval(c: PlaneCoeffs, q: Point2) -> float:
@@ -244,10 +270,8 @@ def normalized_inverse_entry_bound(s: SecantSample) -> float:
     Raises:
         DegenerateBasis: if the directions are exactly parallel.
     """
-    u, v = s.basis()
-    ux, uy = _unit(u)
-    vx, vy = _unit(v)
-    det = ux * vy - uy * vx
+    x0, y0 = s.base.x, s.base.y
+    det, ux, uy, vx, vy = _det_normalized(s.a.x - x0, s.a.y - y0, s.b.x - x0, s.b.y - y0)
     if det == 0.0:
         raise DegenerateBasis("parallel directions: normalized basis is singular", 0.0)
     return max(abs(vy), abs(vx), abs(uy), abs(ux)) / abs(det)

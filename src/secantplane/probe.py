@@ -32,7 +32,7 @@ from .geometry import (
     ScalarField,
     SecantSample,
     Vec2,
-    angle_between,
+    _det_normalized,
     field_value,
     residual_ratio,
     secant_coefficients,
@@ -185,12 +185,13 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
         except RadiusUnderflow:
             exhausted = True
             break
-        quality = angle_between(pair.a - base, pair.b - base)
-        meets = quality.sin_theta >= cfg.angle_floor
+        ux, uy = pair.a.x - base.x, pair.a.y - base.y
+        sin_theta = abs(_det_normalized(ux, uy, pair.b.x - base.x, pair.b.y - base.y)[0])
+        meets = sin_theta >= cfg.angle_floor
         if not meets and not exempt:
             raise DegenerateBasis(
                 f"spec {spec.kind.value} violated the angle floor at step {k}",
-                quality.sin_theta)
+                sin_theta)
         sample = SecantSample(base, pair.a, pair.b, z_base,
                               field_value(f, pair.a), field_value(f, pair.b))
         try:
@@ -202,7 +203,7 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
             raise
         steps.append(TrajectoryStep(
             k=k, alpha=coeffs.alpha, beta=coeffs.beta,
-            sin_theta=quality.sin_theta, radius=(pair.a - base).norm(),
+            sin_theta=sin_theta, radius=math.hypot(ux, uy),
             meets_floor=meets))
 
     converged = False

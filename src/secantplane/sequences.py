@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSpec, RadiusUnderflow
-from .geometry import Point2, Vec2, angle_between, orthogonal_companion
+from .geometry import Point2, Vec2, _det_normalized, orthogonal_companion
 
 #: Generators refuse steps whose radius would fall below this.
 MIN_RADIUS = 1e-7
@@ -147,15 +147,18 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
 
     # RANDOM_ANGLE_FLOOR: per-step stream so steps are independent of each
     # other and of how many earlier steps were generated.
+    # Candidates stay floats: each test is that of Point2, then of angle_between.
     rng = random.Random(f"secantplane:{spec.seed}:{k}")
+    x0, y0 = spec.base.x, spec.base.y
     for _ in range(_RESAMPLE_CAP):
         phi_a = rng.uniform(0.0, math.tau)
         phi_b = rng.uniform(0.0, math.tau)
-        a = spec.base.translate(Vec2(math.cos(phi_a), math.sin(phi_a)).scaled(radius))
-        b = spec.base.translate(Vec2(math.cos(phi_b), math.sin(phi_b)).scaled(radius))
-        quality = angle_between(a - spec.base, b - spec.base)
-        if quality.sin_theta >= spec.angle_floor:
-            return PointPair(a, b, k)
+        ax, ay = x0 + math.cos(phi_a) * radius, y0 + math.sin(phi_a) * radius
+        bx, by = x0 + math.cos(phi_b) * radius, y0 + math.sin(phi_b) * radius
+        if not math.isfinite(ax + ay + bx + by):
+            Point2(ax, ay), Point2(bx, by)   # raises for the first non-finite coordinate
+        if abs(_det_normalized(ax - x0, ay - y0, bx - x0, by - y0)[0]) >= spec.angle_floor:
+            return PointPair(Point2(ax, ay), Point2(bx, by), k)
     raise InvalidSpec(
         f"could not draw a pair with sin(theta) >= {spec.angle_floor} "
         f"in {_RESAMPLE_CAP} attempts")

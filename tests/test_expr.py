@@ -186,15 +186,40 @@ _leaves = st.one_of(
     st.sampled_from([Var("x"), Var("y"), Const("pi"), Const("e")]),
 )
 
-_trees = st.recursive(
-    _leaves,
-    lambda children: st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-        st.builds(Call, st.sampled_from(("sin", "cos", "tan", "exp", "log",
-                                         "sqrt", "abs")), children),
-    ),
-    max_leaves=30,
+# Leaves that leave the domain at many points: log and sqrt of negatives,
+# division by zero, overflow of exp, ^, * and +.
+_hazards = st.sampled_from([
+    Call("log", Var("x")), Call("sqrt", Var("y")), Call("exp", Var("x")),
+    BinOp("/", Num(1.0), Var("y")), BinOp("^", Var("x"), Var("y")),
+    BinOp("*", Var("x"), Var("y")), BinOp("+", Var("x"), Var("y")),
+    BinOp("*", Var("x"), Num(1e300)), BinOp("-", Var("y"), Num(1.7e308)),
+    BinOp("/", Var("x"), Num(1e-300)),
+])
+
+
+def _trees_of(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(Call, st.sampled_from(("sin", "cos", "tan", "exp", "log",
+                                             "sqrt", "abs")), children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+_trees = _trees_of(_leaves, 30)
+_hazardous_trees = _trees_of(
+    st.one_of(_leaves, _hazards,
+              st.builds(Num, st.floats(min_value=0.0, allow_nan=False,
+                                       allow_infinity=False))),
+    10)
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -202,3 +227,18 @@ _trees = st.recursive(
 @settings(max_examples=1000, deadline=None)
 def test_round_trip_print_then_parse(tree):
     assert parse(to_source(tree)) == tree
+
+
+@given(_hazardous_trees, _coords, _coords)
+@settings(max_examples=1000, deadline=None)
+def test_compiled_function_matches_evaluate(tree, x, y):
+    f = as_function(tree)
+    try:
+        want = evaluate(tree, Point2(x, y))
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as exc_info:
+            f(x, y)
+        got = exc_info.value
+        assert (str(got), got.node, got.point) == (str(exc), exc.node, exc.point)
+    else:
+        assert repr(f(x, y)) == repr(want)
