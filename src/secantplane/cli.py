@@ -38,8 +38,8 @@ from .probe import (
 )
 from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
 
-# json and csv are imported where an output format needs them: they are a
-# tenth of the import time of this module, and most calls need one of them.
+# json and csv are imported inside the functions that write those formats, so
+# that importing this module does not pay for them (a tenth of its import time).
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -147,7 +147,7 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
 
     # RANDOM_ANGLE_FLOOR: per-step stream so steps are independent of each
     # other and of how many earlier steps were generated.
-    # Candidates stay floats: each test is that of Point2, then of angle_between.
+    # Candidates stay floats; they get the checks that Point2 and angle_between make.
     rng = random.Random(f"secantplane:{spec.seed}:{k}")
     x0, y0 = spec.base.x, spec.base.y
     for _ in range(_RESAMPLE_CAP):
@@ -156,7 +156,8 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
         ax, ay = x0 + math.cos(phi_a) * radius, y0 + math.sin(phi_a) * radius
         bx, by = x0 + math.cos(phi_b) * radius, y0 + math.sin(phi_b) * radius
         if not math.isfinite(ax + ay + bx + by):
-            Point2(ax, ay), Point2(bx, by)   # raises for the first non-finite coordinate
+            Point2(ax, ay)   # each raises for its first non-finite coordinate
+            Point2(bx, by)
         if abs(_det_normalized(ax - x0, ay - y0, bx - x0, by - y0)[0]) >= spec.angle_floor:
             return PointPair(Point2(ax, ay), Point2(bx, by), k)
     raise InvalidSpec(
