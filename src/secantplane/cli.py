@@ -86,12 +86,17 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
         floor = random_spec_floor(angle_floor)
         for item in filter(None, (s.strip() for s in args.split(","))):
             key, _, value = item.partition("=")
-            if key == "seed":
-                seed = int(value)
-            elif key == "floor":
-                floor = float(value)
-            else:
+            if key not in ("seed", "floor"):
                 raise InvalidSpec(f"unknown random parameter {key!r} in {entry!r}")
+            try:
+                if key == "seed":
+                    seed = int(value)
+                else:
+                    floor = float(value)
+            except ValueError:
+                raise InvalidSpec(f"random parameter {key!r} needs "
+                                  f"{'an integer' if key == 'seed' else 'a number'}, "
+                                  f"got {value!r} in {entry!r}") from None
         return SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=base,
                             angle_floor=floor, seed=seed)
     if kind == "counterexample":
@@ -114,6 +119,47 @@ def _parse_seqs(raw: Optional[list[str]], base: Point2, angle_floor: float,
     return tuple(_parse_seq_entry(e, base, angle_floor) for e in entries)
 
 
+# JSON documents are written as json.dumps(..., indent=2) writes them, byte for
+# byte. CPython's indenting encoder is pure Python, so the long lists (probe
+# steps, counterexample rows) are rendered through one %-template per record,
+# and only the small blocks go through json.dumps, indented into place.
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(x: float) -> str:
+    """``x`` spelled as ``json`` spells a float."""
+    text = repr(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_block(obj, depth: int) -> str:
+    """``obj`` as json.dumps(indent=2) writes it ``depth`` levels deep."""
+    import json
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_object(items, depth: int) -> str:
+    """A non-empty JSON object of (key, rendered value) pairs, ``depth`` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return "{%s\n%s}" % (",".join('%s"%s": %s' % (pad, key, value) for key, value in items),
+                         "  " * depth)
+
+
+def _json_array(rendered: list[str], depth: int) -> str:
+    """A JSON array of rendered values, ``depth`` levels deep."""
+    if not rendered:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(rendered), "  " * depth)
+
+
+_STEP_JSON = _json_object([(key, "%s") for key in ("k", "radius", "sin_theta", "alpha",
+                                                     "beta", "meets_floor")], 4)
+_CE_ROW_JSON = _json_object([("pairing", '"%s"'), *((key, "%s") for key in (
+    "k", "alpha", "beta", "alpha_check", "beta_check"))], 2)
+
+
 def _spec_dict(spec: SequenceSpec) -> dict:
     return {
         "kind": spec.kind.value,
@@ -126,8 +172,8 @@ def _spec_dict(spec: SequenceSpec) -> dict:
     }
 
 
-def _trajectory_dict(index: int, t: CoefficientTrajectory) -> dict:
-    return {
+def _trajectory_json(index: int, t: CoefficientTrajectory) -> str:
+    head = {
         "spec_index": index,
         "kind": t.spec.kind.value,
         "converged": t.converged,
@@ -136,35 +182,37 @@ def _trajectory_dict(index: int, t: CoefficientTrajectory) -> dict:
         "degenerate_steps": list(t.degenerate_steps),
         "limit": None if t.limit is None else {"alpha": t.limit.alpha,
                                                "beta": t.limit.beta},
-        "steps": [
-            {"k": s.k, "radius": s.radius, "sin_theta": s.sin_theta,
-             "alpha": s.alpha, "beta": s.beta, "meets_floor": s.meets_floor}
-            for s in t.steps
-        ],
     }
+    steps = [_STEP_JSON % (s.k, _json_float(s.radius), _json_float(s.sin_theta),
+                           _json_float(s.alpha), _json_float(s.beta),
+                           "true" if s.meets_floor else "false")
+             for s in t.steps]
+    items = [(key, _json_block(value, 3)) for key, value in head.items()]
+    items.append(("steps", _json_array(steps, 3)))
+    return _json_object(items, 2)
 
 
-def _report_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> dict:
-    return {
-        "config": {
-            "angle_floor": cfg.angle_floor,
-            "max_steps": cfg.max_steps,
-            "tail_window": cfg.tail_window,
-            "cauchy_tol": cfg.cauchy_tol,
-            "agree_tol": cfg.agree_tol,
-            "sequence_specs": [_spec_dict(s) for s in cfg.sequence_specs],
-        },
-        "trajectories": [_trajectory_dict(i, t)
-                         for i, t in enumerate(report.trajectories)],
-        "summary": {
-            "base": [base.x, base.y],
-            "verdict": report.verdict.value,
-            "jacobian_estimate": (None if report.jacobian_estimate is None
-                                  else list(report.jacobian_estimate)),
-            "max_disagreement": report.max_disagreement,
-            "residual_checks": [[r, ratio] for r, ratio in report.residual_checks],
-        },
+def _probe_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> str:
+    config = {
+        "angle_floor": cfg.angle_floor,
+        "max_steps": cfg.max_steps,
+        "tail_window": cfg.tail_window,
+        "cauchy_tol": cfg.cauchy_tol,
+        "agree_tol": cfg.agree_tol,
+        "sequence_specs": [_spec_dict(s) for s in cfg.sequence_specs],
     }
+    summary = {
+        "base": [base.x, base.y],
+        "verdict": report.verdict.value,
+        "jacobian_estimate": (None if report.jacobian_estimate is None
+                              else list(report.jacobian_estimate)),
+        "max_disagreement": report.max_disagreement,
+        "residual_checks": [[r, ratio] for r, ratio in report.residual_checks],
+    }
+    trajectories = [_trajectory_json(i, t) for i, t in enumerate(report.trajectories)]
+    return _json_object([("config", _json_block(config, 1)),
+                         ("trajectories", _json_array(trajectories, 1)),
+                         ("summary", _json_block(summary, 1))], 0) + "\n"
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -269,11 +317,14 @@ def cmd_probe(args) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        import json
-        text = json.dumps(_report_json(report, cfg, args.point), indent=2) + "\n"
+        text = _probe_json(report, cfg, args.point)
     else:
         text = (_probe_csv if args.format == "csv" else _probe_table)(report)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -303,19 +354,23 @@ _CE_SUMMARY = (
 )
 
 
+def _counterexample_json(rows: list[dict]) -> str:
+    rendered = [_CE_ROW_JSON % (row["pairing"], row["k"], _json_float(row["alpha"]),
+                                _json_float(row["beta"]), _json_float(row["alpha_check"]),
+                                _json_float(row["beta_check"]))
+                for row in rows]
+    summary = [{"plane": name, "alpha": a, "beta": b} for name, a, b in _CE_SUMMARY]
+    return _json_object([("rows", _json_array(rendered, 1)),
+                         ("summary", _json_block(summary, 1))], 0) + "\n"
+
+
 def cmd_counterexample(args) -> int:
     if args.kmax < 1:
         print("error: --kmax must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     rows = _counterexample_rows(args.kmax)
     if args.format == "json":
-        import json
-        payload = {
-            "rows": rows,
-            "summary": [{"plane": name, "alpha": a, "beta": b}
-                        for name, a, b in _CE_SUMMARY],
-        }
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(_counterexample_json(rows))
     elif args.format == "csv":
         import csv
         writer = csv.writer(sys.stdout)

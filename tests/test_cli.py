@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import secantplane
 from secantplane import Point2, ProbeConfig, default_sequence_specs, probe
 from secantplane.cli import main
 from secantplane.expr import as_function, parse
@@ -176,6 +179,16 @@ class TestProbe:
         payload = json.loads(target.read_text())
         assert payload["summary"]["verdict"] == "consistent-with-differentiable"
 
+    def test_unwritable_out_file_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "probe", "--function", "x^2+y^2",
+                                 "--point", "0,0", "--format", "json",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
+
 
 class TestCounterexample:
     def test_first_row_closed_form(self, capsys):
@@ -231,6 +244,25 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["alpha"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--function", "sin(x)*cos(y)", "--point", "0.5,0.2", "--format", "json"],
+        ["probe", "--function", "x^2+y^2", "--point", "0,0", "--seqs",
+         "counterexample:ab;counterexample:ac", "--steps", "2000", "--format", "json"],
+    ], ids=["default-specs", "collapsing"])
+    def test_output_is_identical_across_hash_seeds(self, capsys, argv):
+        code = main(argv)
+        in_process = capsys.readouterr().out.encode()
+        src = str(Path(secantplane.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "secantplane", *argv],
+                                  capture_output=True, env=env)
+            assert proc.returncode == code
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == in_process
 
     def test_module_invocation_exit_codes(self):
         proc = subprocess.run(

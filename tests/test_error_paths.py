@@ -10,6 +10,7 @@ import pytest
 
 from secantplane import (
     EvaluationError,
+    InvalidSpec,
     PlaneCoeffs,
     Point2,
     ProbeConfig,
@@ -24,6 +25,7 @@ from secantplane import (
     run_trajectory,
     secant_coefficients,
 )
+from secantplane.cli import _parse_seq_entry, main
 from secantplane.expr import BinOp, Call, Num, Var, as_function, parse
 
 MAX = 1.7976931348623157e308
@@ -122,3 +124,14 @@ def test_zero_direction_messages():
 ])
 def test_dataclass_messages(build, message):
     assert_raises_exactly(build, ValueError, message)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("random:seed=abc", "random parameter 'seed' needs an integer, got 'abc' in 'random:seed=abc'"),
+    ("random:floor=zz", "random parameter 'floor' needs a number, got 'zz' in 'random:floor=zz'"),
+])
+def test_malformed_random_parameter_names_parameter_and_entry(capsys, entry, message):
+    assert_raises_exactly(lambda: _parse_seq_entry(entry, Point2(0.0, 0.0), 0.1),
+                          InvalidSpec, message)
+    assert main(["probe", "--function", "x", "--point", "0,0", "--seqs", entry]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
