@@ -229,6 +229,53 @@ class TestCounterexample:
         assert code == 2
 
 
+MISSING_DIR = "{tmp}/missing/report.json"
+
+# Every error route of the CLI: (argv, exit code, the one stderr line).
+ERROR_ROUTES = {
+    "estimate-bad-expression": (
+        ["estimate", "--function", "x +", "--point", "0,0", "--a", "1,0", "--b", "0,1"],
+        2, "error: parse error at offset 3: expected an expression"),
+    "estimate-duplicate-point": (
+        ["estimate", "--function", "x", "--point", "0,0", "--a", "0,0", "--b", "0,1"],
+        2, "error: companion a coincides with the base point"),
+    "estimate-parallel-basis": (
+        ["estimate", "--function", "x", "--point", "0,0", "--a", "1,0", "--b", "2,0"],
+        3, "error: secant basis sin(theta)=0.000000e+00 is below the floor 1.000000e-08"),
+    "estimate-zero-floor": (
+        ["estimate", "--function", "x", "--point", "0,0", "--a", "1,0", "--b", "0,1",
+         "--floor", "0"],
+        2, "error: degeneracy_floor must be positive and finite"),
+    "probe-bad-seqs": (
+        ["probe", "--function", "x", "--point", "0,0", "--seqs", "spiral:1"],
+        2, "error: unknown sequence kind 'spiral' in 'spiral:1'"),
+    "probe-unwritable-out": (
+        ["probe", "--function", "x^2+y^2", "--point", "0,0", "--out", MISSING_DIR],
+        2, None),
+    # DegenerateBasis from the probe is a validation error: exit 2, not 3.
+    "probe-floor-violation": (
+        ["probe", "--function", "x+y", "--point", "1e9,0.5", "--p", "0.99",
+         "--seqs", "radial:1,0.3;radial:0,1"],
+        2, "error: spec radial violated the angle floor at step 20"),
+    "counterexample-kmax-0": (
+        ["counterexample", "--kmax", "0"],
+        2, "error: --kmax must be >= 1"),
+}
+
+
+class TestErrorRoutes:
+    @pytest.mark.parametrize("route", sorted(ERROR_ROUTES))
+    def test_exit_code_empty_stdout_one_error_line(self, capsys, tmp_path, route):
+        argv, want_code, want_err = ERROR_ROUTES[route]
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == want_code
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("error: ")
+        if want_err is not None:
+            assert err == want_err + "\n"
+        assert not (tmp_path / "missing").exists()
+
+
 class TestEntryPoints:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
