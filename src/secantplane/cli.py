@@ -8,8 +8,15 @@ Subcommands:
   z = x^2 + y^2, with closed-form check columns.
 
 Exit codes: 0 success (probe: consistent), 2 bad flags / expression /
-validation, 3 degenerate basis (estimate), 4 probe contradicted,
-5 probe inconclusive.
+validation / unwritable ``--out``, 3 degenerate basis (estimate),
+4 probe contradicted, 5 probe inconclusive.
+
+Each ``cmd_*`` function returns ``(exit code, text)`` and writes nothing.
+``main`` alone writes the text, to stdout or to ``--out``, and only once the
+command has returned. It is also the only place that maps errors to exit
+codes: every library error (a ``ValueError``) and every ``OSError`` becomes
+one ``error: …`` line on stderr and exit 2, or the subcommand's
+``degenerate_exit`` for a ``DegenerateBasis``.
 
 Numeric fields are serialized with 17 significant digits in CSV so that
 parsing the output recovers every binary64 value bit-exactly; JSON uses
@@ -21,12 +28,14 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 from typing import Optional
 
 from . import expr
 from .errors import DegenerateBasis, InvalidSpec
-from .geometry import Point2, Vec2, _unit, angle_between, sample_function, secant_coefficients
+from .geometry import (DEFAULT_DEGENERACY_FLOOR, Point2, Vec2, _unit, angle_between,
+                       sample_function, secant_coefficients)
 from .probe import (
     CoefficientTrajectory,
     ProbeConfig,
@@ -101,11 +110,9 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
                             angle_floor=floor, seed=seed)
     if kind == "counterexample":
         pairing = args.strip().lower()
-        if pairing == "ab":
-            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB, base=base)
-        if pairing == "ac":
-            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC, base=base)
-        raise InvalidSpec(f"counterexample entry needs ':ab' or ':ac', got {entry!r}")
+        if pairing not in ("ab", "ac"):
+            raise InvalidSpec(f"counterexample entry needs ':ab' or ':ac', got {entry!r}")
+        return SequenceSpec(SequenceKind("counterexample-" + pairing), base=base)
     raise InvalidSpec(f"unknown sequence kind {kind!r} in {entry!r}")
 
 
@@ -113,10 +120,8 @@ def _parse_seqs(raw: Optional[list[str]], base: Point2, angle_floor: float,
                 ) -> tuple[SequenceSpec, ...]:
     if not raw:
         return default_sequence_specs(base, angle_floor=angle_floor)
-    entries = []
-    for chunk in raw:
-        entries.extend(e for e in chunk.split(";") if e.strip())
-    return tuple(_parse_seq_entry(e, base, angle_floor) for e in entries)
+    return tuple(_parse_seq_entry(e, base, angle_floor)
+                 for chunk in raw for e in chunk.split(";") if e.strip())
 
 
 # JSON documents are written as json.dumps(..., indent=2) writes them, byte for
@@ -156,8 +161,8 @@ def _json_array(rendered: list[str], depth: int) -> str:
 
 _STEP_JSON = _json_object([(key, "%s") for key in ("k", "radius", "sin_theta", "alpha",
                                                      "beta", "meets_floor")], 4)
-_CE_ROW_JSON = _json_object([("pairing", '"%s"'), *((key, "%s") for key in (
-    "k", "alpha", "beta", "alpha_check", "beta_check"))], 2)
+_CE_COLUMNS = ("pairing", "k", "alpha", "beta", "alpha_check", "beta_check")
+_CE_ROW_JSON = _json_object([("pairing", '"%s"'), *((key, "%s") for key in _CE_COLUMNS[1:])], 2)
 
 
 def _spec_dict(spec: SequenceSpec) -> dict:
@@ -215,68 +220,52 @@ def _probe_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> str:
                          ("summary", _json_block(summary, 1))], 0) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(header, rows) -> str:
+    """CSV text of a header row and data rows, as ``csv.writer`` writes them."""
+    import csv
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def cmd_estimate(args) -> int:
-    try:
-        tree = expr.parse(args.function)
-        f = expr.as_function(tree)
-        sample = sample_function(f, args.point, args.a, args.b)
-        quality = angle_between(*sample.basis())
-        coeffs = secant_coefficients(sample, args.floor)
-    except DegenerateBasis as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _estimate_json(fields: dict) -> str:
+    return _json_object([(key, _json_float(value)) for key, value in fields.items()], 0) + "\n"
 
+
+def cmd_estimate(args) -> tuple[int, str]:
+    f = expr.as_function(expr.parse(args.function))
+    sample = sample_function(f, args.point, args.a, args.b)
+    quality = angle_between(*sample.basis())
+    coeffs = secant_coefficients(sample, args.floor)
     fields = {
         "alpha": coeffs.alpha, "beta": coeffs.beta,
         "x0": coeffs.x0, "y0": coeffs.y0, "z0": coeffs.z0,
         "sin_theta": quality.sin_theta,
     }
     if args.format == "json":
-        import json
-        print(json.dumps(fields, indent=2))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout)
-        writer.writerow(fields)
-        writer.writerow([_g17(v) for v in fields.values()])
-    else:
-        print(f"plane through ({_g17(coeffs.x0)}, {_g17(coeffs.y0)}, {_g17(coeffs.z0)}):")
-        print(f"  alpha     = {_g17(coeffs.alpha)}")
-        print(f"  beta      = {_g17(coeffs.beta)}")
-        print(f"  sin_theta = {_g17(quality.sin_theta)}")
-    return EXIT_OK
+        return EXIT_OK, _estimate_json(fields)
+    if args.format == "csv":
+        return EXIT_OK, _csv(fields, [[_g17(v) for v in fields.values()]])
+    return EXIT_OK, (f"plane through ({_g17(coeffs.x0)}, {_g17(coeffs.y0)}, {_g17(coeffs.z0)}):\n"
+                     f"  alpha     = {_g17(coeffs.alpha)}\n"
+                     f"  beta      = {_g17(coeffs.beta)}\n"
+                     f"  sin_theta = {_g17(quality.sin_theta)}\n")
 
 
 def _probe_csv(report: ProbeReport) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["spec_index", "kind", "k", "radius", "sin_theta", "alpha",
-                     "beta", "meets_floor", "verdict", "estimate_alpha",
-                     "estimate_beta", "max_disagreement"])
     est = report.jacobian_estimate
-    for i, t in enumerate(report.trajectories):
-        for s in t.steps:
-            writer.writerow([
-                i, t.spec.kind.value, s.k, _g17(s.radius), _g17(s.sin_theta),
-                _g17(s.alpha), _g17(s.beta), int(s.meets_floor),
-                report.verdict.value,
-                "" if est is None else _g17(est[0]),
-                "" if est is None else _g17(est[1]),
-                _g17(report.max_disagreement),
-            ])
-    return buf.getvalue()
+    summary = [report.verdict.value,
+               "" if est is None else _g17(est[0]),
+               "" if est is None else _g17(est[1]),
+               _g17(report.max_disagreement)]
+    return _csv(["spec_index", "kind", "k", "radius", "sin_theta", "alpha", "beta",
+                 "meets_floor", "verdict", "estimate_alpha", "estimate_beta",
+                 "max_disagreement"],
+                ([i, t.spec.kind.value, s.k, _g17(s.radius), _g17(s.sin_theta),
+                  _g17(s.alpha), _g17(s.beta), int(s.meets_floor), *summary]
+                 for i, t in enumerate(report.trajectories) for s in t.steps))
 
 
 def _probe_table(report: ProbeReport) -> str:
@@ -304,28 +293,16 @@ def _probe_table(report: ProbeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_probe(args) -> int:
-    try:
-        tree = expr.parse(args.function)
-        f = expr.as_function(tree)
-        specs = _parse_seqs(args.seqs, args.point, args.p)
-        cfg = ProbeConfig(sequence_specs=specs, angle_floor=args.p,
-                          max_steps=args.steps)
-        report = probe(f, args.point, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+def cmd_probe(args) -> tuple[int, str]:
+    f = expr.as_function(expr.parse(args.function))
+    specs = _parse_seqs(args.seqs, args.point, args.p)
+    cfg = ProbeConfig(sequence_specs=specs, angle_floor=args.p, max_steps=args.steps)
+    report = probe(f, args.point, cfg)
     if args.format == "json":
         text = _probe_json(report, cfg, args.point)
     else:
         text = (_probe_csv if args.format == "csv" else _probe_table)(report)
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _VERDICT_EXIT[report.verdict]
+    return _VERDICT_EXIT[report.verdict], text
 
 
 def _counterexample_rows(kmax: int) -> list[dict]:
@@ -355,41 +332,32 @@ _CE_SUMMARY = (
 
 
 def _counterexample_json(rows: list[dict]) -> str:
-    rendered = [_CE_ROW_JSON % (row["pairing"], row["k"], _json_float(row["alpha"]),
-                                _json_float(row["beta"]), _json_float(row["alpha_check"]),
-                                _json_float(row["beta_check"]))
+    rendered = [_CE_ROW_JSON % (row["pairing"], row["k"],
+                                *(_json_float(row[key]) for key in _CE_COLUMNS[2:]))
                 for row in rows]
     summary = [{"plane": name, "alpha": a, "beta": b} for name, a, b in _CE_SUMMARY]
     return _json_object([("rows", _json_array(rendered, 1)),
                          ("summary", _json_block(summary, 1))], 0) + "\n"
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple[int, str]:
     if args.kmax < 1:
-        print("error: --kmax must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidSpec("--kmax must be >= 1")
     rows = _counterexample_rows(args.kmax)
     if args.format == "json":
-        sys.stdout.write(_counterexample_json(rows))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["pairing", "k", "alpha", "beta", "alpha_check", "beta_check"])
-        for row in rows:
-            writer.writerow([row["pairing"], row["k"], _g17(row["alpha"]),
-                             _g17(row["beta"]), _g17(row["alpha_check"]),
-                             _g17(row["beta_check"])])
-        for name, a, b in _CE_SUMMARY:
-            writer.writerow([name, "", _g17(a), _g17(b), "", ""])
-    else:
-        print(f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
-              f"{'alpha_check':>13} {'beta_check':>13}")
-        for row in rows:
-            print(f"{row['pairing']:>4} {row['k']:>6} {row['alpha']:>24.17g} "
-                  f"{row['beta']:>24.17g} {row['alpha_check']:>13.3e} "
-                  f"{row['beta_check']:>13.3e}")
-        print("limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0")
-    return EXIT_OK
+        return EXIT_OK, _counterexample_json(rows)
+    if args.format == "csv":
+        return EXIT_OK, _csv(_CE_COLUMNS, [
+            *([row["pairing"], row["k"], *(_g17(row[key]) for key in _CE_COLUMNS[2:])]
+              for row in rows),
+            *([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY)])
+    lines = [f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
+             f"{'alpha_check':>13} {'beta_check':>13}"]
+    lines.extend(f"{row['pairing']:>4} {row['k']:>6} {row['alpha']:>24.17g} "
+                 f"{row['beta']:>24.17g} {row['alpha_check']:>13.3e} "
+                 f"{row['beta_check']:>13.3e}" for row in rows)
+    lines.append("limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,40 +365,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="secantplane",
         description="Secant-plane derivative estimation and differentiability probing "
                     "for scalar functions of two variables.")
+    parser.set_defaults(out=None, degenerate_exit=EXIT_USAGE)
     sub = parser.add_subparsers(dest="command", required=True)
-
     est = sub.add_parser("estimate", help="coefficients for one secant sample")
-    est.add_argument("--function", required=True, help="expression in x and y")
-    est.add_argument("--point", required=True, type=_parse_point, help="base point 'x,y'")
+    prb = sub.add_parser("probe", help="probe differentiability at a point")
+    ce = sub.add_parser("counterexample",
+                        help="reproduce the collapsing-angle family on x^2+y^2")
+    for command in (est, prb):
+        command.add_argument("--function", required=True, help="expression in x and y")
+        command.add_argument("--point", required=True, type=_parse_point,
+                             help="base point 'x,y'")
+
     est.add_argument("--a", required=True, type=_parse_point, help="first companion 'x,y'")
     est.add_argument("--b", required=True, type=_parse_point, help="second companion 'x,y'")
-    est.add_argument("--floor", type=float, default=1e-8,
-                     help="degeneracy floor on sin(theta) (default 1e-8)")
-    est.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    est.set_defaults(func=cmd_estimate)
+    est.add_argument("--floor", type=float, default=DEFAULT_DEGENERACY_FLOOR,
+                     help="degeneracy floor on sin(theta) (default %(default)g)")
+    est.set_defaults(degenerate_exit=EXIT_DEGENERATE)
 
-    prb = sub.add_parser("probe", help="probe differentiability at a point")
-    prb.add_argument("--function", required=True, help="expression in x and y")
-    prb.add_argument("--point", required=True, type=_parse_point, help="base point 'x,y'")
-    prb.add_argument("--p", type=float, default=0.1,
-                     help="uniform angle floor p in (0,1) (default 0.1)")
-    prb.add_argument("--steps", type=int, default=40,
-                     help="max steps per sequence; radial and random specs stop at step 20 "
-                          "(1e-7 radius), so more steps only lengthen counterexample specs")
+    prb.add_argument("--p", type=float, default=ProbeConfig.angle_floor,
+                     help="uniform angle floor p in (0,1) (default %(default)g)")
+    prb.add_argument("--steps", type=int, default=ProbeConfig.max_steps,
+                     help="max steps per sequence (default %(default)g); radial and random "
+                          "specs stop at step 20 (1e-7 radius), so more steps only "
+                          "lengthen counterexample specs")
     prb.add_argument("--seqs", action="append", default=None, metavar="SPEC",
                      help="sequence specs, ';'-separated or repeated: "
                           "'radial:DX,DY', 'random:seed=N,floor=P', "
                           "'counterexample:ab', 'counterexample:ac' "
                           "(default: two orthogonal radial + one random)")
-    prb.add_argument("--format", choices=("table", "csv", "json"), default="table")
     prb.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    prb.set_defaults(func=cmd_probe)
 
-    ce = sub.add_parser("counterexample",
-                        help="reproduce the collapsing-angle family on x^2+y^2")
     ce.add_argument("--kmax", type=int, default=10, help="largest step index")
-    ce.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    ce.set_defaults(func=cmd_counterexample)
+    for command, func in ((est, cmd_estimate), (prb, cmd_probe), (ce, cmd_counterexample)):
+        command.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        command.set_defaults(func=func)
     return parser
 
 
@@ -440,7 +408,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        # An --out that cannot be written is reported before any work is done;
+        # the file is opened only once the command has its text.
+        if args.out and not os.access(os.path.dirname(args.out) or os.curdir, os.W_OK):
+            raise OSError(f"cannot write {args.out!r}: its directory is missing "
+                          "or not writable")
+        code, text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return args.degenerate_exit if isinstance(exc, DegenerateBasis) else EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

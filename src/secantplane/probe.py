@@ -132,7 +132,7 @@ def random_spec_floor(angle_floor: float) -> float:
     return max(0.7, angle_floor)
 
 
-def default_sequence_specs(base: Point2, angle_floor: float = 0.1,
+def default_sequence_specs(base: Point2, angle_floor: float = ProbeConfig.angle_floor,
                            seed: int = 0) -> tuple[SequenceSpec, ...]:
     """Two orthogonal radial approaches plus one random-direction approach."""
     diag = math.sqrt(0.5)

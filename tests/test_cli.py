@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import secantplane
-from secantplane import Point2, ProbeConfig, default_sequence_specs, probe
+from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig,
+                         default_sequence_specs, probe)
 from secantplane.cli import main
 from secantplane.expr import as_function, parse
 
@@ -189,6 +190,27 @@ class TestProbe:
         assert err.startswith("error: ") and str(target) in err
         assert not target.parent.exists()
 
+    def test_out_directory_is_checked_before_the_function_runs(self, capsys, tmp_path):
+        # sqrt(x) leaves its domain at (0,0): the path must be reported first.
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "probe", "--function", "sqrt(x)",
+                                 "--point", "0,0", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err and "sqrt" not in err
+
+    def test_failed_command_leaves_out_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("kept\n")
+        code, _, _ = run_cli(capsys, "probe", "--function", "x +", "--point", "0,0",
+                             "--out", str(target))
+        assert code == 2
+        assert target.read_text() == "kept\n"
+        code, _, _ = run_cli(capsys, "probe", "--function", "sqrt(x)", "--point", "0,0",
+                             "--out", str(tmp_path / "new.json"))
+        assert code == 2
+        assert not (tmp_path / "new.json").exists()
+
 
 class TestCounterexample:
     def test_first_row_closed_form(self, capsys):
@@ -251,7 +273,7 @@ ERROR_ROUTES = {
         2, "error: unknown sequence kind 'spiral' in 'spiral:1'"),
     "probe-unwritable-out": (
         ["probe", "--function", "x^2+y^2", "--point", "0,0", "--out", MISSING_DIR],
-        2, None),
+        2, f"error: cannot write '{MISSING_DIR}': its directory is missing or not writable"),
     # DegenerateBasis from the probe is a validation error: exit 2, not 3.
     "probe-floor-violation": (
         ["probe", "--function", "x+y", "--point", "1e9,0.5", "--p", "0.99",
@@ -271,12 +293,34 @@ class TestErrorRoutes:
         assert code == want_code
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("error: ")
-        if want_err is not None:
-            assert err == want_err + "\n"
+        assert err == want_err.format(tmp=tmp_path) + "\n"
         assert not (tmp_path / "missing").exists()
 
 
 class TestEntryPoints:
+    @pytest.mark.parametrize("command, shown", [
+        ("estimate", [f"sin(theta) (default {DEFAULT_DEGENERACY_FLOOR:g})"]),
+        ("probe", [f"p in (0,1) (default {ProbeConfig.angle_floor:g})",
+                   f"max steps per sequence (default {ProbeConfig.max_steps:g})"]),
+        ("counterexample", ["--kmax"]),
+    ])
+    def test_help_shows_library_defaults(self, capsys, command, shown):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0 and err == ""
+        text = " ".join(out.split())
+        for phrase in shown:
+            assert phrase in text
+
+    def test_import_loads_neither_json_nor_csv(self):
+        src = str(Path(secantplane.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import secantplane.cli; "
+             "print(sorted({'json', 'csv'} & set(sys.modules)))", src],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 

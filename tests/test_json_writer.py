@@ -1,9 +1,9 @@
 """The CLI's JSON writer against ``json.dumps(indent=2)`` of reference dicts.
 
-Reports and counterexample rows are drawn directly, not probed, so that the
-text is checked on values a probe rarely or never produces: non-finite and
-subnormal floats, -0.0, the ends of the float range, empty lists and absent
-limits.
+Reports, counterexample rows and estimate fields are drawn directly, not
+probed, so that the text is checked on values a probe rarely or never
+produces: non-finite and subnormal floats, -0.0, the ends of the float range,
+empty lists and absent limits.
 """
 
 import json
@@ -25,7 +25,7 @@ from secantplane import (
     Vec2,
     Verdict,
 )
-from secantplane.cli import _counterexample_json, _probe_json
+from secantplane.cli import _counterexample_json, _estimate_json, _probe_json
 
 NAN, INF = math.nan, math.inf
 EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -141,3 +141,15 @@ rows = st.tuples(st.sampled_from(["ab", "ac"]), st.integers(min_value=1, max_val
 def test_counterexample_json_is_json_dumps_indent_2(drawn_rows):
     expected = json.dumps(counterexample_document(drawn_rows), indent=2) + "\n"
     assert _counterexample_json(drawn_rows) == expected
+
+
+ESTIMATE_KEYS = ("alpha", "beta", "x0", "y0", "z0", "sin_theta")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[any_float] * len(ESTIMATE_KEYS)))
+@example((-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308))
+@example((NAN, INF, -INF, 1.7976931348623157e308, 0.0, 1.0))
+def test_estimate_json_is_json_dumps_indent_2(values):
+    fields = dict(zip(ESTIMATE_KEYS, values))
+    assert _estimate_json(fields) == json.dumps(fields, indent=2) + "\n"
