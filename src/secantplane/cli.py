@@ -110,9 +110,11 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
                             angle_floor=floor, seed=seed)
     if kind == "counterexample":
         pairing = args.strip().lower()
-        if pairing not in ("ab", "ac"):
-            raise InvalidSpec(f"counterexample entry needs ':ab' or ':ac', got {entry!r}")
-        return SequenceSpec(SequenceKind("counterexample-" + pairing), base=base)
+        if pairing == "ab":
+            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB, base=base)
+        if pairing == "ac":
+            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC, base=base)
+        raise InvalidSpec(f"counterexample entry needs ':ab' or ':ac', got {entry!r}")
     raise InvalidSpec(f"unknown sequence kind {kind!r} in {entry!r}")
 
 
@@ -120,8 +122,10 @@ def _parse_seqs(raw: Optional[list[str]], base: Point2, angle_floor: float,
                 ) -> tuple[SequenceSpec, ...]:
     if not raw:
         return default_sequence_specs(base, angle_floor=angle_floor)
-    return tuple(_parse_seq_entry(e, base, angle_floor)
-                 for chunk in raw for e in chunk.split(";") if e.strip())
+    entries = []
+    for chunk in raw:
+        entries.extend(e for e in chunk.split(";") if e.strip())
+    return tuple(_parse_seq_entry(e, base, angle_floor) for e in entries)
 
 
 # JSON documents are written as json.dumps(..., indent=2) writes them, byte for
@@ -347,10 +351,10 @@ def cmd_counterexample(args) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, _counterexample_json(rows)
     if args.format == "csv":
-        return EXIT_OK, _csv(_CE_COLUMNS, [
-            *([row["pairing"], row["k"], *(_g17(row[key]) for key in _CE_COLUMNS[2:])]
-              for row in rows),
-            *([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY)])
+        body = [[row["pairing"], row["k"], *(_g17(row[key]) for key in _CE_COLUMNS[2:])]
+                for row in rows]
+        body += ([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY)
+        return EXIT_OK, _csv(_CE_COLUMNS, body)
     lines = [f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
              f"{'alpha_check':>13} {'beta_check':>13}"]
     lines.extend(f"{row['pairing']:>4} {row['k']:>6} {row['alpha']:>24.17g} "
