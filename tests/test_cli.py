@@ -292,7 +292,6 @@ class TestErrorRoutes:
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == want_code
         assert out == ""
-        assert err.endswith("\n") and err.count("\n") == 1 and err.startswith("error: ")
         assert err == want_err.format(tmp=tmp_path) + "\n"
         assert not (tmp_path / "missing").exists()
 
