@@ -18,9 +18,14 @@ codes: every library error (a ``ValueError``) and every ``OSError`` becomes
 one ``error: …`` line on stderr and exit 2, or the subcommand's
 ``degenerate_exit`` for a ``DegenerateBasis``.
 
+The argument parser is built on the first call of ``build_parser`` and
+shared by every later call in the process; ``build_parser()`` returns that
+shared parser, which callers must not change.
+
 Numeric fields are serialized with 17 significant digits in CSV so that
 parsing the output recovers every binary64 value bit-exactly; JSON uses
-Python's shortest round-trip float rendering, which is also bit-exact.
+Python's shortest round-trip float rendering, which is also bit-exact. JSON
+is written by this module's own writer, without the ``json`` module.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ from .probe import (
 )
 from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
 
-# json and csv are imported inside the functions that write those formats, so
-# that importing this module does not pay for them (a tenth of its import time).
+# csv is imported inside the function that writes it, and json is not used at
+# all, so that importing this module does not pay for them (a tenth of its
+# import time). The parser is built on the first call, not at import.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,10 +134,12 @@ def _parse_seqs(raw: Optional[list[str]], base: Point2, angle_floor: float,
     return tuple(_parse_seq_entry(e, base, angle_floor) for e in entries)
 
 
-# JSON documents are written as json.dumps(..., indent=2) writes them, byte for
-# byte. CPython's indenting encoder is pure Python, so the long lists (probe
-# steps, counterexample rows) are rendered through one %-template per record,
-# and only the small blocks go through json.dumps, indented into place.
+# JSON documents are written byte for byte as the json module writes them with
+# indent=2, but without it: CPython's indenting encoder is pure Python and pays
+# for its set-up on every call. The long lists (probe steps, counterexample
+# rows) are rendered through one %-template per record, and the small blocks
+# through _json_block. The only strings written are fixed keys, enum values
+# and _CE_SUMMARY names, which need no escaping.
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
@@ -143,9 +151,22 @@ def _json_float(x: float) -> str:
 
 
 def _json_block(obj, depth: int) -> str:
-    """``obj`` as json.dumps(indent=2) writes it ``depth`` levels deep."""
-    import json
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+    """``obj`` (dict, list, float, int, bool, None or a plain string) as the
+    json module writes it with indent=2, ``depth`` levels deep."""
+    if isinstance(obj, dict):
+        return _json_object([(key, _json_block(value, depth + 1))
+                             for key, value in obj.items()], depth) if obj else "{}"
+    if isinstance(obj, list):
+        return _json_array([_json_block(value, depth + 1) for value in obj], depth)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    return '"%s"' % obj
 
 
 def _json_object(items, depth: int) -> str:
@@ -364,7 +385,18 @@ def cmd_counterexample(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on the first call, then shared by every call.
+
+    Parsing does not change the parser and fills a fresh namespace each time,
+    so one parser serves every ``main`` call; callers must not change it.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="secantplane",
         description="Secant-plane derivative estimation and differentiability probing "
@@ -400,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     ce.add_argument("--kmax", type=int, default=10, help="largest step index")
-    for command, func in ((est, cmd_estimate), (prb, cmd_probe), (ce, cmd_counterexample)):
+    for command in (est, prb, ce):
         command.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        command.set_defaults(func=func)
+    _parser = parser
     return parser
 
 
@@ -415,10 +447,16 @@ def main(argv=None) -> int:
     try:
         # An --out that cannot be written is reported before any work is done;
         # the file is opened only once the command has its text.
-        if args.out and not os.access(os.path.dirname(args.out) or os.curdir, os.W_OK):
-            raise OSError(f"cannot write {args.out!r}: its directory is missing "
-                          "or not writable")
-        code, text = args.func(args)
+        if args.out:
+            directory = os.path.dirname(args.out) or os.curdir
+            if os.path.isdir(args.out):
+                raise OSError(f"cannot write {args.out!r}: it is a directory")
+            if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+                raise OSError(f"cannot write {args.out!r}: its directory is missing "
+                              "or not writable")
+        # Looked up by name on every call, so that the shared parser holds no
+        # function of this module and a rebinding of cmd_* takes effect.
+        code, text = globals()["cmd_" + args.command](args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

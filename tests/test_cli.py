@@ -8,12 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secantplane
-from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig,
-                         default_sequence_specs, probe)
-from secantplane.cli import main
+from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig, SequenceKind,
+                         Verdict, default_sequence_specs, probe)
+from secantplane.cli import _CE_SUMMARY, _json_block, build_parser, main
 from secantplane.expr import as_function, parse
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +278,13 @@ ERROR_ROUTES = {
     "probe-unwritable-out": (
         ["probe", "--function", "x^2+y^2", "--point", "0,0", "--out", MISSING_DIR],
         2, f"error: cannot write '{MISSING_DIR}': its directory is missing or not writable"),
+    # sqrt(x) leaves its domain at (0,0): the directory must be reported first.
+    "probe-out-is-directory": (
+        ["probe", "--function", "sqrt(x)", "--point", "0,0", "--out", "{tmp}"],
+        2, "error: cannot write '{tmp}': it is a directory"),
+    "probe-out-under-a-file": (
+        ["probe", "--function", "sqrt(x)", "--point", "0,0", "--out", "{tmp}/file/r.json"],
+        2, "error: cannot write '{tmp}/file/r.json': its directory is missing or not writable"),
     # DegenerateBasis from the probe is a validation error: exit 2, not 3.
     "probe-floor-violation": (
         ["probe", "--function", "x+y", "--point", "1e9,0.5", "--p", "0.99",
@@ -289,11 +300,98 @@ class TestErrorRoutes:
     @pytest.mark.parametrize("route", sorted(ERROR_ROUTES))
     def test_exit_code_empty_stdout_one_error_line(self, capsys, tmp_path, route):
         argv, want_code, want_err = ERROR_ROUTES[route]
+        (tmp_path / "file").write_text("kept\n")
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == want_code
         assert out == ""
         assert err == want_err.format(tmp=tmp_path) + "\n"
         assert not (tmp_path / "missing").exists()
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees another's flags."""
+
+    def test_build_parser_returns_one_shared_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_seqs_do_not_leak_into_the_next_call(self, capsys):
+        argv = ["probe", "--function", "x^2+y^2", "--point", "0,0", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv, "--seqs", "radial:1,0", "--seqs", "radial:0,1")
+        assert code == 0
+        assert len(json.loads(out)["config"]["sequence_specs"]) == 2
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        kinds = [s["kind"] for s in json.loads(out)["config"]["sequence_specs"]]
+        assert kinds == [s.kind.value for s in default_sequence_specs(Point2(0.0, 0.0))]
+        assert len(kinds) == 3
+
+    def test_degenerate_exit_is_set_again_on_every_parse(self, capsys):
+        # estimate maps a degenerate basis to 3; the probe's floor violation stays 2.
+        for route in ("estimate-parallel-basis", "probe-floor-violation",
+                      "estimate-parallel-basis"):
+            argv, want_code, want_err = ERROR_ROUTES[route]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (want_code, "", want_err + "\n")
+
+    def test_commands_are_looked_up_on_every_call(self, capsys, monkeypatch):
+        # A wrapper installed after the parser was built, as a tracer does, is called.
+        build_parser()
+        calls = []
+        real = secantplane.cli.cmd_counterexample
+        monkeypatch.setattr(secantplane.cli, "cmd_counterexample",
+                            lambda args: calls.append(args.kmax) or real(args))
+        code, _, _ = run_cli(capsys, "counterexample", "--kmax", "2")
+        assert code == 0 and calls == [2]
+
+    def test_bad_flag_then_good_call_gives_golden_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "--function", "x^2+y^2", "--point", "1,2",
+                                 "--nope")
+        assert code == 2 and out == "" and "--nope" in err
+        code, out, _ = run_cli(capsys, "probe", "--function", "x^2+y^2", "--point", "1,2",
+                               "--format", "json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "probe-square-12-json.out").read_bytes()
+
+
+# Values of every type the JSON writer takes, nested; strings without escapes.
+_plain_text = st.text("abc-_ 019", max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _plain_text,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(_plain_text, children, max_size=3)),
+    max_leaves=12)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values, st.integers(min_value=0, max_value=4))
+    def test_block_is_json_dumps_indent_2_at_any_depth(self, value, depth):
+        want = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+        assert _json_block(value, depth) == want
+
+    def test_json_output_loads_no_json_module(self):
+        src = str(Path(secantplane.__file__).resolve().parent.parent)
+        script = (
+            "import io, sys; sys.path.insert(0, sys.argv[1]); from secantplane.cli import main\n"
+            "out, sys.stdout = sys.stdout, io.StringIO()\n"
+            "codes = [main(['probe', '--function', 'x^2+y^2', '--point', '1,2', '--format', 'json']),\n"
+            "         main(['estimate', '--function', 'x^2+y^2', '--point', '0,0',\n"
+            "               '--a', '1,0', '--b', '0,1', '--format', 'json']),\n"
+            "         main(['counterexample', '--kmax', '3', '--format', 'json'])]\n"
+            "sys.stdout = out\n"
+            "print(codes, 'json' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-I", "-c", script, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0] False\n"
+
+    def test_strings_written_unescaped_need_no_escaping(self):
+        names = ([kind.value for kind in SequenceKind] + [v.value for v in Verdict]
+                 + [name for name, _, _ in _CE_SUMMARY])
+        for name in names:
+            assert name.isascii() and name.isprintable(), name
+            assert '"' not in name and "\\" not in name, name
 
 
 class TestEntryPoints:

@@ -210,7 +210,11 @@ def _trees_of(leaves, max_leaves):
     )
 
 
-_trees = _trees_of(_leaves, 30)
+# Literals at the ends of the float range: the largest finite values, the
+# smallest normal and subnormal ones.
+_extreme_leaves = st.sampled_from([1.7e308, 1.7976931348623157e308, 5e-324,
+                                   2.2250738585072014e-308, 2.225e-309]).map(Num)
+_trees = _trees_of(st.one_of(_leaves, _extreme_leaves), 30)
 _hazardous_trees = _trees_of(
     st.one_of(_leaves, _hazards,
               st.builds(Num, st.floats(min_value=0.0, allow_nan=False,
