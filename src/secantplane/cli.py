@@ -184,8 +184,8 @@ def _json_array(rendered: list[str], depth: int) -> str:
     return "[%s%s\n%s]" % (pad, ("," + pad).join(rendered), "  " * depth)
 
 
-_STEP_JSON = _json_object([(key, "%s") for key in ("k", "radius", "sin_theta", "alpha",
-                                                     "beta", "meets_floor")], 4)
+_STEP_COLUMNS = ("k", "radius", "sin_theta", "alpha", "beta", "meets_floor")
+_STEP_JSON = _json_object([(key, "%s") for key in _STEP_COLUMNS], 4)
 _CE_COLUMNS = ("pairing", "k", "alpha", "beta", "alpha_check", "beta_check")
 _CE_ROW_JSON = _json_object([("pairing", '"%s"'), *((key, "%s") for key in _CE_COLUMNS[1:])], 2)
 
@@ -255,10 +255,6 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _estimate_json(fields: dict) -> str:
-    return _json_object([(key, _json_float(value)) for key, value in fields.items()], 0) + "\n"
-
-
 def cmd_estimate(args) -> tuple[int, str]:
     f = expr.as_function(expr.parse(args.function))
     sample = sample_function(f, args.point, args.a, args.b)
@@ -270,7 +266,7 @@ def cmd_estimate(args) -> tuple[int, str]:
         "sin_theta": quality.sin_theta,
     }
     if args.format == "json":
-        return EXIT_OK, _estimate_json(fields)
+        return EXIT_OK, _json_block(fields, 0) + "\n"
     if args.format == "csv":
         return EXIT_OK, _csv(fields, [[_g17(v) for v in fields.values()]])
     return EXIT_OK, (f"plane through ({_g17(coeffs.x0)}, {_g17(coeffs.y0)}, {_g17(coeffs.z0)}):\n"
@@ -285,9 +281,8 @@ def _probe_csv(report: ProbeReport) -> str:
                "" if est is None else _g17(est[0]),
                "" if est is None else _g17(est[1]),
                _g17(report.max_disagreement)]
-    return _csv(["spec_index", "kind", "k", "radius", "sin_theta", "alpha", "beta",
-                 "meets_floor", "verdict", "estimate_alpha", "estimate_beta",
-                 "max_disagreement"],
+    return _csv(["spec_index", "kind", *_STEP_COLUMNS, "verdict", "estimate_alpha",
+                 "estimate_beta", "max_disagreement"],
                 ([i, t.spec.kind.value, s.k, _g17(s.radius), _g17(s.sin_theta),
                   _g17(s.alpha), _g17(s.beta), int(s.meets_floor), *summary]
                  for i, t in enumerate(report.trajectories) for s in t.steps))
@@ -335,7 +330,6 @@ def _counterexample_rows(kmax: int) -> list[dict]:
     rows = []
     for k in range(1, kmax + 1):
         a, b, c = counterexample_points(k)
-        s = math.sin(1.0 / k)
         cos_k = math.cos(1.0 / k)
         for pairing, companion, beta_target in (("ab", b, 2.0 - cos_k),
                                                 ("ac", c, 3.0 - cos_k)):
@@ -343,7 +337,7 @@ def _counterexample_rows(kmax: int) -> list[dict]:
             rows.append({
                 "pairing": pairing, "k": k,
                 "alpha": coeffs.alpha, "beta": coeffs.beta,
-                "alpha_check": coeffs.alpha - s,
+                "alpha_check": coeffs.alpha - a.x,
                 "beta_check": coeffs.beta - beta_target,
             })
     return rows

@@ -174,12 +174,7 @@ class _Parser:
                 self.advance()
                 if self.peek()[1] != "(":
                     raise self.fail("'(' after function name")
-                self.advance()
-                arg = self.expr()
-                if self.peek()[1] != ")":
-                    raise self.fail("')'")
-                self.advance()
-                return Call(text, arg)
+                return Call(text, self.atom())
             raise self.fail("a variable (x, y), constant (pi, e), or function name")
         if text == "(":
             self.advance()
@@ -243,7 +238,13 @@ def evaluate(e: Expr, p: Point2) -> float:
 
 
 def _compile(e: Expr) -> ScalarField:
-    """One closure per node doing what :func:`evaluate` does at that node."""
+    """One closure per node doing what :func:`evaluate` does at that node.
+
+    A node whose own operation raises, or gives a non-finite result, returns
+    ``evaluate`` of itself at the point instead: that raises the reference
+    error, so every message is defined once, in :func:`evaluate`. Errors of
+    child nodes propagate unchanged.
+    """
     if isinstance(e, Num):
         value = e.value
         return lambda x, y: value
@@ -263,12 +264,9 @@ def _compile(e: Expr) -> ScalarField:
             right = right_of(x, y)
             try:
                 value = op(left, right)
-            except ZeroDivisionError:
-                raise _domain_error("division by zero", e, Point2(x, y)) from None
-            except (ValueError, OverflowError):
-                raise _domain_error(f"invalid power {left!r} ^ {right!r}", e,
-                                    Point2(x, y)) from None
-            return value if isfinite(value) else _finite(value, e, Point2(x, y))
+            except (ZeroDivisionError, ValueError, OverflowError):
+                value = math.nan
+            return value if isfinite(value) else evaluate(e, Point2(x, y))
         return binop
     # Call
     func, arg_of = abs if e.func == "abs" else getattr(math, e.func), _compile(e.arg)
@@ -278,8 +276,8 @@ def _compile(e: Expr) -> ScalarField:
         try:
             value = func(arg)
         except (ValueError, OverflowError):
-            raise _domain_error(f"{e.func} undefined for {arg!r}", e, Point2(x, y)) from None
-        return value if isfinite(value) else _finite(value, e, Point2(x, y))
+            value = math.nan
+        return value if isfinite(value) else evaluate(e, Point2(x, y))
     return call
 
 
@@ -288,7 +286,8 @@ def as_function(e: Expr) -> ScalarField:
 
     The tree is compiled once into nested closures that do what
     :func:`evaluate` does, node for node: the same operations in the same
-    order, the same domain checks and the same errors.
+    order and the same domain checks. A failing node raises through
+    :func:`evaluate`, so the errors are the same too.
     """
     run = _compile(e)
 

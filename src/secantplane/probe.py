@@ -15,6 +15,12 @@ radius is ~1e-7 and the coefficient error of a twice-differentiable function
 shrinks linearly with the radius, trajectory limits carry an irreducible
 error of order 1e-7 times the curvature scale; the default tolerances sit an
 order of magnitude above that.
+
+No step is ever skipped as degenerate. A spec that is not floor-exempt must
+meet the angle floor p at every step or the probe raises. The floor-exempt
+(counterexample) kinds have a basis angle of exactly 1/k and stop once
+sin(1/k) falls below the minimum radius 1e-7, so every step they take has
+sin(theta) above the library's degeneracy floor 1e-8.
 """
 
 from __future__ import annotations
@@ -104,8 +110,9 @@ class CoefficientTrajectory:
     """Per-step coefficient records along one sequence spec.
 
     ``limit`` is present exactly when ``converged`` is true.
-    ``degenerate_steps`` lists step indices skipped because even the library
-    degeneracy floor failed (possible only for floor-exempt kinds).
+    ``degenerate_steps`` is always empty: no step can fall below the library
+    degeneracy floor (see the module docstring). The field stays because
+    the report schema only ever gains fields.
     """
 
     spec: SequenceSpec
@@ -177,7 +184,6 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
     z_base = field_value(f, base)
 
     steps: list[TrajectoryStep] = []
-    degenerate: list[int] = []
     exhausted = False
     for k in range(1, cfg.max_steps + 1):
         try:
@@ -194,13 +200,7 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
                 sin_theta)
         sample = SecantSample(base, pair.a, pair.b, z_base,
                               field_value(f, pair.a), field_value(f, pair.b))
-        try:
-            coeffs = secant_coefficients(sample, DEFAULT_DEGENERACY_FLOOR)
-        except DegenerateBasis:
-            if exempt:
-                degenerate.append(k)
-                continue
-            raise
+        coeffs = secant_coefficients(sample, DEFAULT_DEGENERACY_FLOOR)
         steps.append(TrajectoryStep(
             k=k, alpha=coeffs.alpha, beta=coeffs.beta,
             sin_theta=sin_theta, radius=math.hypot(ux, uy),
@@ -216,7 +216,7 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
                                 steps[-1].alpha, steps[-1].beta)
     return CoefficientTrajectory(
         spec=spec, steps=tuple(steps), converged=converged, limit=limit,
-        degenerate_steps=tuple(degenerate), floor_exempt=exempt,
+        degenerate_steps=(), floor_exempt=exempt,
         radius_exhausted=exhausted)
 
 
@@ -243,7 +243,7 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
     converged = [t for t in trajectories if t.converged]
     limits = [(t.limit.alpha, t.limit.beta) for t in converged]
 
-    max_disagreement = _max_pairwise(limits) if len(limits) >= 2 else 0.0
+    max_disagreement = _max_pairwise(limits)
     estimate: Optional[tuple[float, float]] = None
     residual_checks: tuple[tuple[float, float], ...] = ()
 

@@ -129,7 +129,7 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
 
     if spec.kind in FLOOR_EXEMPT_KINDS:
         a, b, c = counterexample_points(k)
-        if math.sin(1.0 / k) < MIN_RADIUS:
+        if a.x < MIN_RADIUS:
             raise RadiusUnderflow(
                 f"counterexample radius sin(1/{k}) is below {MIN_RADIUS:g}")
         other = b if spec.kind is SequenceKind.COUNTEREXAMPLE_AB else c

@@ -62,10 +62,17 @@ class TestEstimate:
                              "--point", "0,0", "--a", "0,0", "--b", "0,1")
         assert code == 2
 
-    def test_malformed_point_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "estimate", "--function", "x",
-                             "--point", "zero", "--a", "1,0", "--b", "0,1")
+    @pytest.mark.parametrize("argv,last_line", [
+        (["estimate", "--function", "x", "--point", "zero", "--a", "1,0", "--b", "0,1"],
+         "secantplane estimate: error: argument --point: expected 'x,y', got 'zero'"),
+        (["probe", "--function", "x", "--point", "1,inf"],
+         "secantplane probe: error: argument --point: y must be finite, got inf"),
+    ])
+    def test_malformed_point_exits_2(self, capsys, argv, last_line):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == last_line
 
     def test_csv_round_trip_bit_exact(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--function", "sin(x)*cos(y)",
@@ -275,6 +282,18 @@ ERROR_ROUTES = {
     "probe-bad-seqs": (
         ["probe", "--function", "x", "--point", "0,0", "--seqs", "spiral:1"],
         2, "error: unknown sequence kind 'spiral' in 'spiral:1'"),
+    "probe-radial-without-direction": (
+        ["probe", "--function", "x", "--point", "0,0", "--seqs", "radial:1"],
+        2, "error: radial entry needs a direction 'radial:DX,DY', got 'radial:1'"),
+    "probe-radial-zero-direction": (
+        ["probe", "--function", "x", "--point", "0,0", "--seqs", "radial:0,0"],
+        2, "error: radial direction must be nonzero"),
+    "probe-random-unknown-parameter": (
+        ["probe", "--function", "x", "--point", "0,0", "--seqs", "random:foo=1"],
+        2, "error: unknown random parameter 'foo' in 'random:foo=1'"),
+    "probe-counterexample-bad-pairing": (
+        ["probe", "--function", "x", "--point", "0,0", "--seqs", "counterexample:xy"],
+        2, "error: counterexample entry needs ':ab' or ':ac', got 'counterexample:xy'"),
     "probe-unwritable-out": (
         ["probe", "--function", "x^2+y^2", "--point", "0,0", "--out", MISSING_DIR],
         2, f"error: cannot write '{MISSING_DIR}': its directory is missing or not writable"),

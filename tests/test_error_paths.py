@@ -26,7 +26,7 @@ from secantplane import (
     secant_coefficients,
 )
 from secantplane.cli import _parse_seq_entry, main
-from secantplane.expr import BinOp, Call, Num, Var, as_function, parse
+from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse
 
 MAX = 1.7976931348623157e308
 
@@ -55,6 +55,19 @@ def test_compiled_expression_domain_error():
                                 "log undefined for -1.0 at (-1.0, 1.0)")
     assert exc.node == Call("log", Var("x"))
     assert exc.point == Point2(-1.0, 1.0)
+
+
+# An infinity inside the expression would vanish into a finite result
+# (1/inf = 0, exp(-inf) = 0, 2^-inf = 0): it is reported at the node that made it.
+@pytest.mark.parametrize("source", ["1/(1e308*10)", "exp(-(1e308*10))", "2^(0-1e308*10)"])
+def test_overflow_inside_an_expression_is_reported_at_its_node(source):
+    tree = parse(source)
+    message = "non-finite result inf at (0.0, 0.0)"
+    for f in (as_function(tree), lambda x, y: evaluate(tree, Point2(x, y))):
+        exc = assert_raises_exactly(lambda: f(0.0, 0.0), EvaluationError, message)
+        assert exc.node == BinOp("*", Num(1e308), Num(10.0))
+        assert exc.point == Point2(0.0, 0.0)
+        assert exc.__context__ is None
 
 
 def test_compiled_expression_division_by_zero():
@@ -115,15 +128,22 @@ def test_zero_direction_messages():
                           ZeroVector, "second direction has zero length")
 
 
-@pytest.mark.parametrize("build,message", [
-    (lambda: Point2(0.0, math.nan), "y must be finite, got nan"),
-    (lambda: Vec2(-math.inf, 0.0), "dx must be finite, got -inf"),
-    (lambda: PlaneCoeffs(0.0, 0.0, 0.0, 1.0, math.inf), "beta must be finite, got inf"),
+@pytest.mark.parametrize("build,cls,message", [
+    (lambda: Point2(0.0, math.nan), ValueError, "y must be finite, got nan"),
+    (lambda: Vec2(-math.inf, 0.0), ValueError, "dx must be finite, got -inf"),
+    (lambda: PlaneCoeffs(0.0, 0.0, 0.0, 1.0, math.inf), ValueError,
+     "beta must be finite, got inf"),
     (lambda: SecantSample(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0),
-                          0.0, math.nan, 0.0), "z_a must be finite, got nan"),
+                          0.0, math.nan, 0.0), ValueError, "z_a must be finite, got nan"),
+    (lambda: ProbeConfig(sequence_specs=(SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2,
+                         tail_window=1), InvalidSpec, "tail_window must be >= 2, got 1"),
+    (lambda: SequenceSpec("radial"), InvalidSpec, "unknown sequence kind 'radial'"),
+    (lambda: generate(SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR,
+                                   angle_floor=0.999999999999, seed=0), 1), InvalidSpec,
+     "could not draw a pair with sin(theta) >= 0.999999999999 in 10000 attempts"),
 ])
-def test_dataclass_messages(build, message):
-    assert_raises_exactly(build, ValueError, message)
+def test_dataclass_messages(build, cls, message):
+    assert_raises_exactly(build, cls, message)
 
 
 @pytest.mark.parametrize("entry,message", [

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantplane import EvaluationError, ParseError, Point2
@@ -49,10 +49,11 @@ class TestParsing:
         assert exc_info.value.offset == 0
 
     def test_unbalanced_paren(self):
-        with pytest.raises(ParseError) as exc_info:
-            parse("(1+2")
-        assert exc_info.value.offset == 4
-        assert "')'" in exc_info.value.expected
+        for source, offset in (("(1+2", 4), ("sin(x", 5)):
+            with pytest.raises(ParseError) as exc_info:
+                parse(source)
+            assert exc_info.value.offset == offset
+            assert "')'" in exc_info.value.expected
 
     def test_function_requires_paren(self):
         with pytest.raises(ParseError) as exc_info:
@@ -235,6 +236,13 @@ def test_round_trip_print_then_parse(tree):
 
 @given(_hazardous_trees, _coords, _coords)
 @settings(max_examples=1000, deadline=None)
+# An infinity that a later node would turn into a finite result.
+@example(parse("1/(1e308*10)"), 0.0, 0.0)
+@example(parse("exp(-(1e308*10))"), 0.0, 0.0)
+@example(parse("2^(0-1e308*10)"), 0.0, 0.0)
+# A failing root node: no enclosing node re-checks its result.
+@example(parse("1/y"), 1.0, 0.0)
+@example(parse("log(x)"), -1.0, 0.0)
 def test_compiled_function_matches_evaluate(tree, x, y):
     f = as_function(tree)
     try:

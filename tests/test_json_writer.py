@@ -25,7 +25,7 @@ from secantplane import (
     Vec2,
     Verdict,
 )
-from secantplane.cli import _counterexample_json, _estimate_json, _probe_json
+from secantplane.cli import _counterexample_json, _json_block, _probe_json
 
 NAN, INF = math.nan, math.inf
 EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -151,5 +151,6 @@ ESTIMATE_KEYS = ("alpha", "beta", "x0", "y0", "z0", "sin_theta")
 @example((-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308))
 @example((NAN, INF, -INF, 1.7976931348623157e308, 0.0, 1.0))
 def test_estimate_json_is_json_dumps_indent_2(values):
+    # cmd_estimate writes its fields as _json_block(fields, 0) + "\n".
     fields = dict(zip(ESTIMATE_KEYS, values))
-    assert _estimate_json(fields) == json.dumps(fields, indent=2) + "\n"
+    assert _json_block(fields, 0) + "\n" == json.dumps(fields, indent=2) + "\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantplane import (
+    DEFAULT_DEGENERACY_FLOOR,
     InvalidSpec,
     Point2,
     RadiusUnderflow,
@@ -16,6 +17,7 @@ from secantplane import (
     counterexample_points,
     generate,
 )
+from secantplane.sequences import FLOOR_EXEMPT_KINDS
 from helpers import ulps
 
 mpmath.mp.dps = 50
@@ -180,6 +182,18 @@ class TestCounterexampleGeneration:
         pair = generate(spec, 4)
         _, _, c = counterexample_points(4)
         assert pair.b == c
+
+    @pytest.mark.parametrize("kind", FLOOR_EXEMPT_KINDS)
+    def test_every_step_clears_the_degeneracy_floor(self, kind):
+        # Why a probe never meets a degenerate basis on these kinds: the basis
+        # angle is 1/k, and generation stops before sin(1/k) reaches 1e-8.
+        spec = SequenceSpec(kind)
+        for k in (1, 10, 10**3, 10**5, 9_999_999):
+            pair = generate(spec, k)
+            sin_theta = angle_between(pair.a - spec.base, pair.b - spec.base).sin_theta
+            assert sin_theta >= 0.99 * math.sin(1.0 / k) > DEFAULT_DEGENERACY_FLOOR
+        with pytest.raises(RadiusUnderflow):
+            generate(spec, 10_000_000)
 
     def test_underflow_guard(self):
         spec = SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB)
