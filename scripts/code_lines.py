@@ -5,12 +5,11 @@ comment, and that is not part of a docstring (the string that opens a module,
 class or function body). Blank lines, comment-only lines and docstrings do not
 count; a statement spread over several lines counts each of them.
 
-Run from the root of the repository:
+Run it from any directory:
 
-    python3 scripts/code_lines.py [PACKAGE_DIR]
+    python3 scripts/code_lines.py
 
-It prints one line per module and the total, for ``src/secantplane`` unless
-another directory is given.
+It prints one line per module of ``src/secantplane`` and the total.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "secantplane"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -46,10 +47,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1] if len(argv) > 1 else "src/secantplane")
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:<16} {count:>5}")
@@ -58,4 +58,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
