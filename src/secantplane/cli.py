@@ -25,13 +25,16 @@ shared parser, which callers must not change.
 Numeric fields are serialized with 17 significant digits in CSV so that
 parsing the output recovers every binary64 value bit-exactly; JSON uses
 Python's shortest round-trip float rendering, which is also bit-exact. JSON
-is written by this module's own writer, without the ``json`` module.
+and CSV are both written by this module's own writers, without the ``json``
+and ``csv`` modules. A CSV field is a ``.17g`` number, an int, ``""``, a fixed
+column name, an enum value or a pairing or summary name: none holds a comma, a
+double quote or a line break, so no field needs quoting, and each row is its
+fields joined by commas and ended by CRLF, as ``csv.writer`` ends it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -51,10 +54,6 @@ from .probe import (
     random_spec_floor,
 )
 from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
-
-# csv is imported inside the function that writes it, and json is not used at
-# all, so that importing this module does not pay for them (a tenth of its
-# import time). The parser is built on the first call, not at import.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -246,13 +245,9 @@ def _probe_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> str:
 
 
 def _csv(header, rows) -> str:
-    """CSV text of a header row and data rows, as ``csv.writer`` writes them."""
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text of a header row and data rows, as ``csv.writer`` writes them
+    when no field needs quoting (see the module docstring)."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
 
 
 def cmd_estimate(args) -> tuple[int, str]:
@@ -325,7 +320,8 @@ def cmd_probe(args) -> tuple[int, str]:
     return _VERDICT_EXIT[report.verdict], text
 
 
-def _counterexample_rows(kmax: int) -> list[dict]:
+def _counterexample_rows(kmax: int) -> list[tuple]:
+    """One tuple per pairing and step, in ``_CE_COLUMNS`` order."""
     f = lambda x, y: x * x + y * y
     rows = []
     for k in range(1, kmax + 1):
@@ -334,12 +330,8 @@ def _counterexample_rows(kmax: int) -> list[dict]:
         for pairing, companion, beta_target in (("ab", b, 2.0 - cos_k),
                                                 ("ac", c, 3.0 - cos_k)):
             coeffs = secant_coefficients(sample_function(f, ORIGIN, a, companion))
-            rows.append({
-                "pairing": pairing, "k": k,
-                "alpha": coeffs.alpha, "beta": coeffs.beta,
-                "alpha_check": coeffs.alpha - a.x,
-                "beta_check": coeffs.beta - beta_target,
-            })
+            rows.append((pairing, k, coeffs.alpha, coeffs.beta,
+                         coeffs.alpha - a.x, coeffs.beta - beta_target))
     return rows
 
 
@@ -350,10 +342,9 @@ _CE_SUMMARY = (
 )
 
 
-def _counterexample_json(rows: list[dict]) -> str:
-    rendered = [_CE_ROW_JSON % (row["pairing"], row["k"],
-                                *(_json_float(row[key]) for key in _CE_COLUMNS[2:]))
-                for row in rows]
+def _counterexample_json(rows: list[tuple]) -> str:
+    rendered = [_CE_ROW_JSON % (pairing, k, *map(_json_float, values))
+                for pairing, k, *values in rows]
     summary = [{"plane": name, "alpha": a, "beta": b} for name, a, b in _CE_SUMMARY]
     return _json_object([("rows", _json_array(rendered, 1)),
                          ("summary", _json_block(summary, 1))], 0) + "\n"
@@ -366,15 +357,14 @@ def cmd_counterexample(args) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, _counterexample_json(rows)
     if args.format == "csv":
-        body = [[row["pairing"], row["k"], *(_g17(row[key]) for key in _CE_COLUMNS[2:])]
-                for row in rows]
+        body = [[pairing, k, *map(_g17, values)] for pairing, k, *values in rows]
         body += ([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY)
         return EXIT_OK, _csv(_CE_COLUMNS, body)
     lines = [f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
              f"{'alpha_check':>13} {'beta_check':>13}"]
-    lines.extend(f"{row['pairing']:>4} {row['k']:>6} {row['alpha']:>24.17g} "
-                 f"{row['beta']:>24.17g} {row['alpha_check']:>13.3e} "
-                 f"{row['beta_check']:>13.3e}" for row in rows)
+    lines.extend(f"{pairing:>4} {k:>6} {alpha:>24.17g} {beta:>24.17g} "
+                 f"{alpha_check:>13.3e} {beta_check:>13.3e}"
+                 for pairing, k, alpha, beta, alpha_check, beta_check in rows)
     lines.append("limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0")
     return EXIT_OK, "\n".join(lines) + "\n"
 

@@ -33,10 +33,15 @@ from typing import Union
 from .errors import EvaluationError, ParseError
 from .geometry import Point2, ScalarField
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
+FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+             "log": math.log, "sqrt": math.sqrt, "abs": abs}
 CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": math.pow}
+# Binding strength, shared by the parser and the printer: levels 1 and 2 are
+# the left-associative chains, "neg" is unary minus, and atoms bind tightest.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_ATOM_PREC = 5
 
 
 @dataclass(frozen=True)
@@ -122,23 +127,20 @@ class _Parser:
         return ParseError(_byte_offset(self.source, pos), expected)
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node = self.chain()
         if self.peek()[0] != "end":
             raise self.fail("an operator or end of input")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
+    def chain(self, level: int = 1) -> Expr:
+        """A left-associative chain of the operators at ``level`` of ``_PREC``.
+        Its operands are chains at the next level or, where the next level is
+        unary minus ("neg"), unary expressions."""
+        deeper = level + 1 < _PREC["neg"]
+        node = self.chain(level + 1) if deeper else self.unary()
+        while _PREC.get(self.peek()[1]) == level:
             op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
+            node = BinOp(op, node, self.chain(level + 1) if deeper else self.unary())
         return node
 
     def unary(self) -> Expr:
@@ -178,7 +180,7 @@ class _Parser:
             raise self.fail("a variable (x, y), constant (pi, e), or function name")
         if text == "(":
             self.advance()
-            node = self.expr()
+            node = self.chain()
             if self.peek()[1] != ")":
                 raise self.fail("')'")
             self.advance()
@@ -231,7 +233,7 @@ def evaluate(e: Expr, p: Point2) -> float:
     # Call
     arg = evaluate(e.arg, p)
     try:
-        value = getattr(math, e.func)(arg) if e.func != "abs" else abs(arg)
+        value = FUNCTIONS[e.func](arg)
     except (ValueError, OverflowError):
         raise _domain_error(f"{e.func} undefined for {arg!r}", e, p) from None
     return _finite(value, e, p)
@@ -269,7 +271,7 @@ def _compile(e: Expr) -> ScalarField:
             return value if isfinite(value) else evaluate(e, Point2(x, y))
         return binop
     # Call
-    func, arg_of = abs if e.func == "abs" else getattr(math, e.func), _compile(e.arg)
+    func, arg_of = FUNCTIONS[e.func], _compile(e.arg)
 
     def call(x, y):
         arg = arg_of(x, y)
@@ -297,9 +299,6 @@ def as_function(e: Expr) -> ScalarField:
         return run(x, y)
     return f
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM_PREC = 5
 
 
 def _prec(e: Expr) -> int:

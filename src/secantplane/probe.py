@@ -82,7 +82,8 @@ class ProbeConfig:
         if self.tail_window < 2:
             raise InvalidSpec(f"tail_window must be >= 2, got {self.tail_window!r}")
         if self.tail_window > self.max_steps / 2:
-            raise InvalidSpec("tail_window must not exceed max_steps/2")
+            raise InvalidSpec("max_steps must be at least 2*tail_window = "
+                              f"{2 * self.tail_window}, got {self.max_steps!r}")
         for name in ("cauchy_tol", "agree_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
@@ -154,13 +155,18 @@ def default_sequence_specs(base: Point2, angle_floor: float = ProbeConfig.angle_
 
 
 def _max_pairwise(vectors: Sequence[tuple[float, float]]) -> float:
-    worst = 0.0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            da = abs(vectors[i][0] - vectors[j][0])
-            db = abs(vectors[i][1] - vectors[j][1])
-            worst = max(worst, da, db)
-    return worst
+    """The largest max-norm distance between two of ``vectors`` (0.0 for
+    fewer than two), computed as the largest component range.
+
+    For finite inputs this equals the largest ``abs(u_i - v_i)`` over all
+    pairs bit for bit: rounded subtraction is monotone, so no pair's gap in a
+    component exceeds ``max - min`` of that component, and the (max, min)
+    pair attains it. Where all of a component's values are equal, ``max``
+    and ``min`` return the same element, so the range is ``+0.0``, never
+    ``-0.0``. Every caller passes finite values: step coefficients and limits
+    pass ``PlaneCoeffs`` validation.
+    """
+    return max((max(c) - min(c) for c in zip(*vectors)), default=0.0)
 
 
 def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,

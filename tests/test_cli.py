@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import secantplane
 from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig, SequenceKind,
                          Verdict, default_sequence_specs, probe)
-from secantplane.cli import _CE_SUMMARY, _json_block, build_parser, main
+from secantplane.cli import _CE_SUMMARY, _csv, _g17, _json_block, build_parser, main
 from secantplane.expr import as_function, parse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -309,6 +312,9 @@ ERROR_ROUTES = {
         ["probe", "--function", "x+y", "--point", "1e9,0.5", "--p", "0.99",
          "--seqs", "radial:1,0.3;radial:0,1"],
         2, "error: spec radial violated the angle floor at step 20"),
+    "probe-steps-below-twice-tail-window": (
+        ["probe", "--function", "x", "--point", "0,0", "--steps", "9"],
+        2, "error: max_steps must be at least 2*tail_window = 10, got 9"),
     "counterexample-kmax-0": (
         ["counterexample", "--kmax", "0"],
         2, "error: --kmax must be >= 1"),
@@ -411,6 +417,70 @@ class TestJsonWriter:
         for name in names:
             assert name.isascii() and name.isprintable(), name
             assert '"' not in name and "\\" not in name, name
+        # CSV fields are written unquoted. The first check shows that the spy
+        # saw the headers and rows.
+        assert {"spec_index", "estimate_alpha", "pairing", "ab", "ac"} <= set(_csv_strings())
+        for text in _csv_strings():
+            assert text.isascii() and text.isprintable(), text
+            assert not set(text) & set(',"\r\n'), text
+
+
+CSV_COMMANDS = (
+    ["estimate", "--function", "x^2+y^2", "--point", "0,0", "--a", "1,0", "--b", "0,1",
+     "--format", "csv"],
+    ["probe", "--function", "x^2+y^2", "--point", "1,2", "--format", "csv"],
+    ["probe", "--function", "x^2+y^2", "--point", "0,0",
+     "--seqs", "counterexample:ab;counterexample:ac", "--format", "csv"],
+    ["counterexample", "--kmax", "2", "--format", "csv"],
+)
+
+
+@cache
+def _csv_strings() -> tuple[str, ...]:
+    """Every string that can reach ``_csv``: the string fields of the headers
+    and rows that the CSV commands hand it, and every enum value and summary
+    name, whether or not those commands write it."""
+    seen = {kind.value for kind in SequenceKind} | {v.value for v in Verdict}
+    seen |= {name for name, _, _ in _CE_SUMMARY}
+
+    def spy(header, rows):
+        seen.update(field for row in (header, *rows) for field in row
+                    if isinstance(field, str))
+        return ""
+    with mock.patch.object(secantplane.cli, "_csv", spy), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for argv in CSV_COMMANDS:
+            assert main(argv) in (0, 5)
+    return tuple(sorted(seen))
+
+
+def _csv_writer_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_csv_names = st.deferred(lambda: st.sampled_from(_csv_strings()))
+_csv_fields = _csv_names | st.floats().map(_g17) | st.integers() | st.just("")
+
+
+@st.composite
+def _csv_tables(draw):
+    # Every CSV row the CLI writes has at least six fields. csv.writer quotes
+    # a row made of one empty field, which the CLI never writes.
+    width = draw(st.integers(min_value=2, max_value=12))
+    header = draw(st.lists(_csv_names, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_csv_fields, min_size=width, max_size=width), max_size=4))
+    return header, rows
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_tables())
+    def test_csv_is_csv_writer_output(self, table):
+        assert _csv(*table) == _csv_writer_text(*table)
 
 
 class TestEntryPoints:

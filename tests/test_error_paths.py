@@ -128,15 +128,31 @@ def test_zero_direction_messages():
                           ZeroVector, "second direction has zero length")
 
 
+RADIAL_PAIR = (SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2
+
+
 @pytest.mark.parametrize("build,cls,message", [
+    (lambda: Point2(math.nan, 0.0), ValueError, "x must be finite, got nan"),
     (lambda: Point2(0.0, math.nan), ValueError, "y must be finite, got nan"),
+    (lambda: Point2(0.0, math.inf), ValueError, "y must be finite, got inf"),
+    (lambda: Vec2(math.inf, 0.0), ValueError, "dx must be finite, got inf"),
     (lambda: Vec2(-math.inf, 0.0), ValueError, "dx must be finite, got -inf"),
+    (lambda: PlaneCoeffs(0.0, 0.0, 0.0, math.nan, 0.0), ValueError,
+     "alpha must be finite, got nan"),
     (lambda: PlaneCoeffs(0.0, 0.0, 0.0, 1.0, math.inf), ValueError,
      "beta must be finite, got inf"),
     (lambda: SecantSample(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0),
                           0.0, math.nan, 0.0), ValueError, "z_a must be finite, got nan"),
-    (lambda: ProbeConfig(sequence_specs=(SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2,
-                         tail_window=1), InvalidSpec, "tail_window must be >= 2, got 1"),
+    (lambda: SecantSample(Point2(1.0, 2.0), Point2(1.0, 2.0), Point2(0.0, 0.0),
+                          0.0, 0.0, 0.0), ZeroVector, "companion a coincides with the base point"),
+    (lambda: SecantSample(Point2(1.0, 2.0), Point2(0.0, 0.0), Point2(1.0, 2.0),
+                          0.0, 0.0, 0.0), ZeroVector, "companion b coincides with the base point"),
+    (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, tail_window=1), InvalidSpec,
+     "tail_window must be >= 2, got 1"),
+    # max_steps 8 and 9 pass the >= 8 check but leave no room for the default
+    # tail_window of 5.
+    (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, max_steps=8), InvalidSpec,
+     "max_steps must be at least 2*tail_window = 10, got 8"),
     (lambda: SequenceSpec("radial"), InvalidSpec, "unknown sequence kind 'radial'"),
     (lambda: generate(SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR,
                                    angle_floor=0.999999999999, seed=0), 1), InvalidSpec,

@@ -100,6 +100,17 @@ class TestParsing:
 
 
 class TestPrecedence:
+    @pytest.mark.parametrize("source, tree", [
+        ("1-2-3", BinOp("-", BinOp("-", Num(1.0), Num(2.0)), Num(3.0))),
+        ("8/4/2", BinOp("/", BinOp("/", Num(8.0), Num(4.0)), Num(2.0))),
+        ("1-2*3-4/5", BinOp("-", BinOp("-", Num(1.0), BinOp("*", Num(2.0), Num(3.0))),
+                            BinOp("/", Num(4.0), Num(5.0)))),
+        ("-2^2*3", BinOp("*", Neg(BinOp("^", Num(2.0), Num(2.0))), Num(3.0))),
+        ("2^-1^2", BinOp("^", Num(2.0), Neg(BinOp("^", Num(1.0), Num(2.0))))),
+    ])
+    def test_mixed_chains_parse_to_hand_built_trees(self, source, tree):
+        assert parse(source) == tree
+
     def test_multiplication_binds_tighter(self):
         assert ev("1+2*3") == 7.0
 

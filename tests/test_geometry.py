@@ -38,39 +38,6 @@ def make_sample(base, ra, pa, rb, pb, z0, za, zb):
     return SecantSample(base, a, b, z0, za, zb)
 
 
-class TestConstruction:
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point2(float("nan"), 0.0)
-
-    def test_point_rejects_infinity(self):
-        with pytest.raises(ValueError):
-            Point2(0.0, math.inf)
-
-    def test_vec_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Vec2(math.inf, 0.0)
-
-    def test_sample_rejects_duplicate_a(self):
-        with pytest.raises(ZeroVector):
-            SecantSample(Point2(1.0, 2.0), Point2(1.0, 2.0), Point2(0.0, 0.0),
-                         0.0, 0.0, 0.0)
-
-    def test_sample_rejects_duplicate_b(self):
-        with pytest.raises(ZeroVector):
-            SecantSample(Point2(1.0, 2.0), Point2(0.0, 0.0), Point2(1.0, 2.0),
-                         0.0, 0.0, 0.0)
-
-    def test_sample_rejects_non_finite_value(self):
-        with pytest.raises(ValueError):
-            SecantSample(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0),
-                         0.0, math.nan, 0.0)
-
-    def test_plane_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PlaneCoeffs(0.0, 0.0, 0.0, math.nan, 0.0)
-
-
 class TestAngleBetween:
     def test_orthonormal(self):
         bq = angle_between(Vec2(1.0, 0.0), Vec2(0.0, 1.0))

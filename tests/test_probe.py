@@ -1,7 +1,8 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantplane import (
@@ -23,6 +24,7 @@ from secantplane import (
     sample_function,
     secant_coefficients,
 )
+from secantplane.probe import _max_pairwise
 from helpers import battery_cases, ulps
 
 ORIGIN = Point2(0.0, 0.0)
@@ -319,3 +321,34 @@ class TestProbeConfigValidation:
         specs = default_sequence_specs(ORIGIN)
         with pytest.raises(InvalidSpec):
             ProbeConfig(sequence_specs=specs, max_steps=7, tail_window=2)
+
+
+def _pairwise_loop(vectors):
+    """The largest max-norm gap found by comparing every pair, as the probe
+    computed it before it took component ranges."""
+    worst = 0.0
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            da = abs(vectors[i][0] - vectors[j][0])
+            db = abs(vectors[i][1] - vectors[j][1])
+            worst = max(worst, da, db)
+    return worst
+
+
+MIN_NORMAL = 2.2250738585072014e-308
+coefficients = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-MIN_NORMAL, max_value=MIN_NORMAL),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(coefficients, coefficients), max_size=8))
+@example([])
+@example([(-0.0, 0.0)])
+@example([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+@example([(1e308, 5e-324), (-1e308, -5e-324)])
+def test_max_pairwise_is_the_pairwise_loop_bit_for_bit(vectors):
+    # Inputs are finite, as step coefficients and limits always are; the
+    # 1e308 gaps overflow to inf in both.
+    assert struct.pack("<d", _max_pairwise(vectors)) == struct.pack("<d", _pairwise_loop(vectors))
