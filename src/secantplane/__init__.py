@@ -45,7 +45,6 @@ from .probe import (
 )
 from .sequences import (
     MIN_RADIUS,
-    PointPair,
     SequenceKind,
     SequenceSpec,
     counterexample_points,
@@ -65,7 +64,6 @@ __all__ = [
     "ParseError",
     "PlaneCoeffs",
     "Point2",
-    "PointPair",
     "ProbeConfig",
     "ProbeReport",
     "RadiusUnderflow",

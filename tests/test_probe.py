@@ -205,9 +205,8 @@ class TestEvaluationCount:
         cfg = ProbeConfig(sequence_specs=(spec, radial(ORIGIN, 0.0, 1.0)), max_steps=50)
         f = CountingField(SQUARE)
         traj = run_trajectory(f, ORIGIN, spec, cfg)
-        pairs = len(traj.steps) + len(traj.degenerate_steps)
-        assert pairs == (50 if traj.floor_exempt else 20)
-        assert f.calls == 1 + 2 * pairs
+        assert len(traj.steps) == (50 if traj.floor_exempt else 20)
+        assert f.calls == 1 + 2 * len(traj.steps)
 
 
 class TestTrajectorySteps:
@@ -231,16 +230,15 @@ class TestTrajectorySteps:
         expected = []
         for k in range(1, cfg.max_steps + 1):
             try:
-                pair = generate(spec, k)
+                a, b = generate(spec, k)
             except RadiusUnderflow:
                 break
-            sin_theta = angle_between(pair.a - base, pair.b - base).sin_theta
-            plane = secant_coefficients(sample_function(f, base, pair.a, pair.b))
+            sin_theta = angle_between(a - base, b - base).sin_theta
+            plane = secant_coefficients(sample_function(f, base, a, b))
             expected.append((k, plane.alpha, plane.beta, sin_theta,
-                             (pair.a - base).norm(), sin_theta >= cfg.angle_floor))
+                             (a - base).norm(), sin_theta >= cfg.angle_floor))
         got = [(s.k, s.alpha, s.beta, s.sin_theta, s.radius, s.meets_floor)
                for s in traj.steps]
-        assert traj.degenerate_steps == ()
         # Tuples of floats compare with ==, so -0.0 and 0.0 would pass as equal;
         # repr tells them apart.
         assert repr(got) == repr(expected)
