@@ -432,8 +432,10 @@ def main(argv=None) -> int:
     try:
         # An --out that cannot be written is reported before any work is done;
         # the file is opened only once the command has its text.
-        if args.out:
+        if args.out is not None:
             directory = os.path.dirname(args.out) or os.curdir
+            if not args.out:
+                raise OSError(f"cannot write {args.out!r}: the path is empty")
             if os.path.isdir(args.out):
                 raise OSError(f"cannot write {args.out!r}: it is a directory")
             if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):

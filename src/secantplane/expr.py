@@ -193,9 +193,13 @@ def parse(source: str) -> Expr:
 
     Raises:
         ParseError: with the byte offset of the failure and a description of
-            what was expected there.
+            what was expected there. A source nested too deeply for the
+            parser's recursion fails at offset 0.
     """
-    return _Parser(source).parse()
+    try:
+        return _Parser(source).parse()
+    except RecursionError:
+        raise ParseError(0, "an expression nested less deeply") from None
 
 
 def _domain_error(message: str, node: Expr, point: Point2) -> EvaluationError:
@@ -283,6 +287,9 @@ def _compile(e: Expr) -> ScalarField:
     return call
 
 
+_TOO_DEEP = "expression nested too deeply to evaluate"
+
+
 def as_function(e: Expr) -> ScalarField:
     """Compile a tree into a plain ``f(x, y) -> float`` callable.
 
@@ -290,13 +297,23 @@ def as_function(e: Expr) -> ScalarField:
     :func:`evaluate` does, node for node: the same operations in the same
     order and the same domain checks. A failing node raises through
     :func:`evaluate`, so the errors are the same too.
+
+    Compiling and evaluating recurse once per level of the tree, so a tree
+    too deep for the interpreter's recursion limit raises
+    :class:`EvaluationError`, here or from the returned callable.
     """
-    run = _compile(e)
+    try:
+        run = _compile(e)
+    except RecursionError:
+        raise EvaluationError(_TOO_DEEP) from None
 
     def f(x, y):
         if not (isfinite(x) and isfinite(y)):
             Point2(x, y)   # raises for the first non-finite coordinate
-        return run(x, y)
+        try:
+            return run(x, y)
+        except RecursionError:
+            raise EvaluationError(_TOO_DEEP) from None
     return f
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -272,6 +273,18 @@ ERROR_ROUTES = {
     "estimate-bad-expression": (
         ["estimate", "--function", "x +", "--point", "0,0", "--a", "1,0", "--b", "0,1"],
         2, "error: parse error at offset 3: expected an expression"),
+    # Too deep for the parser (parentheses, function calls) or for compiling (a long sum).
+    "estimate-200-nested-parentheses": (
+        ["estimate", "--function", "(" * 200 + "x" + ")" * 200, "--point", "0,0",
+         "--a", "1,0", "--b", "0,1"],
+        2, "error: parse error at offset 0: expected an expression nested less deeply"),
+    "estimate-3000-term-sum": (
+        ["estimate", "--function", "+".join(["x"] * 3000), "--point", "0,0",
+         "--a", "1,0", "--b", "0,1"],
+        2, "error: expression nested too deeply to evaluate"),
+    "probe-300-nested-sin": (
+        ["probe", "--function", "sin(" * 300 + "x" + ")" * 300, "--point", "0,0"],
+        2, "error: parse error at offset 0: expected an expression nested less deeply"),
     "estimate-duplicate-point": (
         ["estimate", "--function", "x", "--point", "0,0", "--a", "0,0", "--b", "0,1"],
         2, "error: companion a coincides with the base point"),
@@ -304,6 +317,9 @@ ERROR_ROUTES = {
     "probe-out-is-directory": (
         ["probe", "--function", "sqrt(x)", "--point", "0,0", "--out", "{tmp}"],
         2, "error: cannot write '{tmp}': it is a directory"),
+    "probe-out-empty": (
+        ["probe", "--function", "sqrt(x)", "--point", "0,0", "--out", ""],
+        2, "error: cannot write '': the path is empty"),
     "probe-out-under-a-file": (
         ["probe", "--function", "sqrt(x)", "--point", "0,0", "--out", "{tmp}/file/r.json"],
         2, "error: cannot write '{tmp}/file/r.json': its directory is missing or not writable"),
@@ -506,6 +522,16 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_pyproject_names_the_package_version_and_cli(self):
+        # No test runs the installed console script, so this checks what it names.
+        tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["version"] == secantplane.__version__
+        module, _, name = project["scripts"]["secantplane"].partition(":")
+        assert (module, name) == ("secantplane.cli", "main")
+        assert getattr(importlib.import_module(module), name) is main
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2

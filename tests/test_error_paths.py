@@ -5,6 +5,7 @@ fail exactly where, and exactly as, the dataclass checks do.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -73,6 +74,25 @@ def test_compiled_expression_division_by_zero():
                                 "division by zero at (1.0, 0.0)")
     assert exc.node == BinOp("/", Num(1.0), Var("y"))
     assert exc.point == Point2(1.0, 0.0)
+
+
+def test_compiled_expression_called_too_deep_to_evaluate():
+    # The tree compiles, but the call leaves too few frames to evaluate it.
+    f = as_function(parse("+".join(["x"] * 400)))
+    assert f(1.0, 0.0) == 400.0
+
+    def frames_in_use():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    def call_deeper(levels):
+        return f(1.0, 0.0) if levels == 0 else call_deeper(levels - 1)
+
+    levels = sys.getrecursionlimit() - frames_in_use() - 200
+    assert_raises_exactly(lambda: call_deeper(levels), EvaluationError,
+                          "expression nested too deeply to evaluate")
 
 
 def test_overflowing_basis_is_rejected_as_a_non_finite_displacement():
