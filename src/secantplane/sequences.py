@@ -141,9 +141,10 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
 
     # RANDOM_ANGLE_FLOOR: per-step stream so steps are independent of each
     # other and of how many earlier steps were generated.
-    # Candidates stay floats: |cos(phi) * radius| <= INITIAL_RADIUS lies far
-    # below half an ulp of any double near the overflow threshold, so each
-    # coordinate is finite whenever the base is.
+    # Candidates stay floats; _det_normalized checks them as angle_between
+    # would. They are finite whenever the base is: a step of at most
+    # INITIAL_RADIUS cannot round a finite coordinate past the largest double,
+    # half of whose ulp is 2**970.
     rng = random.Random(f"secantplane:{spec.seed}:{k}")
     x0, y0 = spec.base.x, spec.base.y
     for _ in range(_RESAMPLE_CAP):

@@ -108,9 +108,11 @@ def test_overflowing_basis_is_rejected_as_a_non_finite_displacement():
 
 
 def test_random_pair_lost_to_rounding_is_a_zero_direction():
-    spec = SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(1e20, 1e20))
-    assert_raises_exactly(lambda: generate(spec, 1), ZeroVector,
-                          "first direction has zero length")
+    # At the largest double the step rounds away too, instead of overflowing.
+    for scale in (1e20, 1.7976931348623157e308):
+        spec = SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(scale, scale))
+        assert_raises_exactly(lambda: generate(spec, 1), ZeroVector,
+                              "first direction has zero length")
 
 
 def test_radial_companion_lost_to_rounding_ends_the_trajectory():
