@@ -45,6 +45,9 @@ from .errors import DegenerateBasis, InvalidSpec
 from .geometry import (DEFAULT_DEGENERACY_FLOOR, Point2, Vec2, _unit, angle_between,
                        sample_function, secant_coefficients)
 from .probe import (
+    AGREE_TOL,
+    CAUCHY_TOL,
+    TAIL_WINDOW,
     CoefficientTrajectory,
     ProbeConfig,
     ProbeReport,
@@ -226,9 +229,9 @@ def _probe_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> str:
     config = {
         "angle_floor": cfg.angle_floor,
         "max_steps": cfg.max_steps,
-        "tail_window": cfg.tail_window,
-        "cauchy_tol": cfg.cauchy_tol,
-        "agree_tol": cfg.agree_tol,
+        "tail_window": TAIL_WINDOW,
+        "cauchy_tol": CAUCHY_TOL,
+        "agree_tol": AGREE_TOL,
         "sequence_specs": [_spec_dict(s) for s in cfg.sequence_specs],
     }
     summary = {

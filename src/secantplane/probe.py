@@ -9,12 +9,14 @@ as a proof; disagreement between converged limits, however, is an honest
 witness against differentiability.
 
 Convergence of one trajectory is declared when every pair of the last
-``tail_window`` coefficient vectors agrees within ``cauchy_tol`` in max-norm.
-The limit is then the final coefficient vector. Because the minimum usable
-radius is ~1e-7 and the coefficient error of a twice-differentiable function
-shrinks linearly with the radius, trajectory limits carry an irreducible
-error of order 1e-7 times the curvature scale; the default tolerances sit an
-order of magnitude above that.
+``TAIL_WINDOW`` coefficient vectors agrees within ``CAUCHY_TOL`` in max-norm.
+The limit is then the final coefficient vector, and converged limits agree
+when they lie within ``AGREE_TOL`` of each other. These three are module
+constants, not settings: the theorem's only parameter is the angle floor p.
+Because the minimum usable radius is ~1e-7 and the coefficient error of a
+twice-differentiable function shrinks linearly with the radius, trajectory
+limits carry an irreducible error of order 1e-7 times the curvature scale;
+the tolerances sit an order of magnitude above that.
 
 No step is ever skipped as degenerate. A spec that is not floor-exempt must
 meet the angle floor p at every step or the probe raises. The floor-exempt
@@ -46,6 +48,11 @@ from .geometry import (
 from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, generate
 
 
+TAIL_WINDOW = 5     # trailing steps whose coefficients must agree
+CAUCHY_TOL = 1e-4   # max-norm spread of that tail for a trajectory to converge
+AGREE_TOL = 5e-6    # max-norm gap allowed between converged limits
+
+
 class Verdict(Enum):
     CONSISTENT_WITH_DIFFERENTIABLE = "consistent-with-differentiable"
     CONTRADICTED = "contradicted"
@@ -54,22 +61,21 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe parameters.
+    """Probe parameters: the sequences, the angle floor and the step limit.
 
     ``angle_floor`` is the uniform linear-independence floor p: every
     non-counterexample spec must guarantee sin(theta) >= p by construction
     (radial specs have sin(theta) = 1; random specs must carry a floor at
     least this large). Counterexample kinds are exempt so the collapsing
     trajectories stay computable; their floor violations are flagged
-    per step instead.
+    per step instead. ``max_steps`` must leave room for two tail windows.
+    The stopping policy is fixed by the module constants ``TAIL_WINDOW``,
+    ``CAUCHY_TOL`` and ``AGREE_TOL``.
     """
 
     sequence_specs: tuple[SequenceSpec, ...]
     angle_floor: float = 0.1
     max_steps: int = 40
-    tail_window: int = 5
-    cauchy_tol: float = 1e-4
-    agree_tol: float = 5e-6
 
     def __post_init__(self):
         object.__setattr__(self, "sequence_specs", tuple(self.sequence_specs))
@@ -77,17 +83,9 @@ class ProbeConfig:
             raise InvalidSpec("probing needs at least 2 sequence specs")
         if not (0.0 < self.angle_floor < 1.0):
             raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
-        if self.max_steps < 8:
-            raise InvalidSpec(f"max_steps must be >= 8, got {self.max_steps!r}")
-        if self.tail_window < 2:
-            raise InvalidSpec(f"tail_window must be >= 2, got {self.tail_window!r}")
-        if self.tail_window > self.max_steps / 2:
+        if self.max_steps < 2 * TAIL_WINDOW:
             raise InvalidSpec("max_steps must be at least 2*tail_window = "
-                              f"{2 * self.tail_window}, got {self.max_steps!r}")
-        for name in ("cauchy_tol", "agree_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidSpec(f"{name} must be positive and finite, got {value!r}")
+                              f"{2 * TAIL_WINDOW}, got {self.max_steps!r}")
         for spec in self.sequence_specs:
             if (spec.kind is SequenceKind.RANDOM_ANGLE_FLOOR
                     and spec.angle_floor < self.angle_floor):
@@ -211,9 +209,9 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
 
     converged = False
     limit: Optional[PlaneCoeffs] = None
-    if len(steps) >= cfg.tail_window:
-        tail = [(s.alpha, s.beta) for s in steps[-cfg.tail_window:]]
-        converged = _max_pairwise(tail) < cfg.cauchy_tol
+    if len(steps) >= TAIL_WINDOW:
+        tail = [(s.alpha, s.beta) for s in steps[-TAIL_WINDOW:]]
+        converged = _max_pairwise(tail) < CAUCHY_TOL
         if converged:
             limit = PlaneCoeffs(base.x, base.y, z_base,
                                 steps[-1].alpha, steps[-1].beta)
@@ -228,12 +226,12 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
     Verdict rules:
 
     * ``CONSISTENT_WITH_DIFFERENTIABLE`` -- at least two trajectories
-      converged and all converged limits agree within ``agree_tol``
+      converged and all converged limits agree within ``AGREE_TOL``
       (max-norm, pairwise). The estimate is the component-wise mean of the
       converged limits, and residual ratios are reported at the retained
       radii of the first converged trajectory, probing along (1, 0).
     * ``CONTRADICTED`` -- at least two trajectories converged and some pair
-      of limits disagrees by more than ``agree_tol``.
+      of limits disagrees by more than ``AGREE_TOL``.
     * ``INCONCLUSIVE`` -- fewer than two trajectories converged; there is
       nothing to corroborate or contradict.
 
@@ -251,7 +249,7 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
 
     if len(limits) < 2:
         verdict = Verdict.INCONCLUSIVE
-    elif max_disagreement <= cfg.agree_tol:
+    elif max_disagreement <= AGREE_TOL:
         verdict = Verdict.CONSISTENT_WITH_DIFFERENTIABLE
         estimate = (sum(l[0] for l in limits) / len(limits),
                     sum(l[1] for l in limits) / len(limits))

@@ -6,6 +6,7 @@ documents built here, byte for byte.
 """
 
 from secantplane.cli import _CE_SUMMARY
+from secantplane.probe import AGREE_TOL, CAUCHY_TOL, TAIL_WINDOW
 from secantplane.sequences import INITIAL_RADIUS, RADIUS_DECAY
 
 
@@ -44,9 +45,9 @@ def probe_document(report, cfg, base) -> dict:
         "config": {
             "angle_floor": cfg.angle_floor,
             "max_steps": cfg.max_steps,
-            "tail_window": cfg.tail_window,
-            "cauchy_tol": cfg.cauchy_tol,
-            "agree_tol": cfg.agree_tol,
+            "tail_window": TAIL_WINDOW,
+            "cauchy_tol": CAUCHY_TOL,
+            "agree_tol": AGREE_TOL,
             "sequence_specs": [_spec_dict(s) for s in cfg.sequence_specs],
         },
         "trajectories": [_trajectory_dict(i, t)

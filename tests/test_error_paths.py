@@ -149,10 +149,7 @@ RADIAL_PAIR = (SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2
                           0.0, 0.0, 0.0), ZeroVector, "companion a coincides with the base point"),
     (lambda: SecantSample(Point2(1.0, 2.0), Point2(0.0, 0.0), Point2(1.0, 2.0),
                           0.0, 0.0, 0.0), ZeroVector, "companion b coincides with the base point"),
-    (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, tail_window=1), InvalidSpec,
-     "tail_window must be >= 2, got 1"),
-    # max_steps 8 and 9 pass the >= 8 check but leave no room for the default
-    # tail_window of 5.
+    # max_steps must leave room for two tail windows of probe.TAIL_WINDOW = 5.
     (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, max_steps=8), InvalidSpec,
      "max_steps must be at least 2*tail_window = 10, got 8"),
     (lambda: SequenceSpec("radial"), InvalidSpec, "unknown sequence kind 'radial'"),

@@ -54,14 +54,10 @@ def configs(draw):
     chosen = draw(st.lists(specs(), min_size=2, max_size=4))
     floor = min((s.angle_floor for s in chosen
                  if s.kind is SequenceKind.RANDOM_ANGLE_FLOOR), default=0.5)
-    max_steps = draw(st.integers(min_value=8, max_value=10**6))
     return ProbeConfig(
         sequence_specs=tuple(chosen),
         angle_floor=draw(st.floats(min_value=0.0, max_value=floor, exclude_min=True)),
-        max_steps=max_steps,
-        tail_window=draw(st.integers(min_value=2, max_value=max_steps // 2)),
-        cauchy_tol=draw(st.floats(min_value=5e-324, max_value=1e308)),
-        agree_tol=draw(st.floats(min_value=5e-324, max_value=1e308)))
+        max_steps=draw(st.integers(min_value=10, max_value=10**6)))
 
 
 steps = st.builds(TrajectoryStep, k=st.integers(min_value=0, max_value=10**9),

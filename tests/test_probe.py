@@ -24,7 +24,7 @@ from secantplane import (
     sample_function,
     secant_coefficients,
 )
-from secantplane.probe import _max_pairwise
+from secantplane.probe import AGREE_TOL, _max_pairwise
 from helpers import battery_cases, ulps
 
 ORIGIN = Point2(0.0, 0.0)
@@ -254,8 +254,8 @@ class TestGradientCoherence:
         assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
         for traj in report.trajectories:
             assert traj.converged
-            assert abs(traj.limit.alpha - gx) <= cfg.agree_tol
-            assert abs(traj.limit.beta - gy) <= cfg.agree_tol
+            assert abs(traj.limit.alpha - gx) <= AGREE_TOL
+            assert abs(traj.limit.beta - gy) <= AGREE_TOL
 
     @pytest.mark.parametrize("name,f,grad,base", list(battery_cases()),
                              ids=lambda v: v if isinstance(v, str) else "")
@@ -301,14 +301,7 @@ class TestProbeConfigValidation:
     def test_tail_window_cap(self):
         specs = default_sequence_specs(ORIGIN)
         with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, max_steps=8, tail_window=5)
-
-    def test_positive_tolerances(self):
-        specs = default_sequence_specs(ORIGIN)
-        with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, cauchy_tol=0.0)
-        with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, agree_tol=-1.0)
+            ProbeConfig(sequence_specs=specs, max_steps=8)
 
     def test_angle_floor_range(self):
         specs = default_sequence_specs(ORIGIN)
@@ -318,7 +311,7 @@ class TestProbeConfigValidation:
     def test_min_steps(self):
         specs = default_sequence_specs(ORIGIN)
         with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, max_steps=7, tail_window=2)
+            ProbeConfig(sequence_specs=specs, max_steps=7)
 
 
 def _pairwise_loop(vectors):
