@@ -27,7 +27,7 @@ from secantplane import (
     secant_coefficients,
 )
 from secantplane.cli import _parse_seq_entry, main
-from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse
+from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse, to_source
 
 LOG_PLUS_RECIPROCAL = as_function(parse("log(x)+1/y"))
 
@@ -93,6 +93,18 @@ def test_compiled_expression_called_too_deep_to_evaluate():
     levels = sys.getrecursionlimit() - frames_in_use() - 200
     assert_raises_exactly(lambda: call_deeper(levels), EvaluationError,
                           "expression nested too deeply to evaluate")
+
+
+# The parser builds a long sum without recursing, but walking the tree it
+# builds recurses once per term.
+@pytest.mark.parametrize("walk,message", [
+    (lambda tree: evaluate(tree, Point2(1.0, 2.0)), "expression nested too deeply to evaluate"),
+    (to_source, "expression nested too deeply to print"),
+], ids=["evaluate", "to_source"])
+def test_tree_too_deep_to_walk(walk, message):
+    tree = parse("+".join(["x"] * 3000))
+    exc = assert_raises_exactly(lambda: walk(tree), EvaluationError, message)
+    assert exc.__suppress_context__   # one error line, not the RecursionError as well
 
 
 def test_overflowing_basis_is_rejected_as_a_non_finite_displacement():
