@@ -409,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--p", type=float, default=ProbeConfig.angle_floor,
                      help="uniform angle floor p in (0,1) (default %(default)g)")
     prb.add_argument("--steps", type=int, default=ProbeConfig.max_steps,
-                     help="max steps per sequence (default %(default)g); radial and random "
-                          "specs stop at step 20 (1e-7 radius), so more steps only "
-                          "lengthen counterexample specs")
+                     help="max steps per sequence (default %(default)g), at least "
+                          f"{2 * TAIL_WINDOW}; radial and random specs stop at step 20 "
+                          "(1e-7 radius), so more steps only lengthen counterexample specs")
     prb.add_argument("--seqs", action="append", default=None, metavar="SPEC",
                      help="sequence specs, ';'-separated or repeated: "
                           "'radial:DX,DY', 'random:seed=N,floor=P', "

@@ -330,6 +330,9 @@ ERROR_ROUTES = {
     "probe-steps-below-twice-tail-window": (
         ["probe", "--function", "x", "--point", "0,0", "--steps", "9"],
         2, "error: max_steps must be at least 2*tail_window = 10, got 9"),
+    "probe-steps-below-eight": (
+        ["probe", "--function", "x", "--point", "0,0", "--steps", "7"],
+        2, "error: max_steps must be at least 2*tail_window = 10, got 7"),
     "counterexample-kmax-0": (
         ["counterexample", "--kmax", "0"],
         2, "error: --kmax must be >= 1"),
@@ -502,7 +505,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize("command, shown", [
         ("estimate", [f"sin(theta) (default {DEFAULT_DEGENERACY_FLOOR:g})"]),
         ("probe", [f"p in (0,1) (default {ProbeConfig.angle_floor:g})",
-                   f"max steps per sequence (default {ProbeConfig.max_steps:g})"]),
+                   f"max steps per sequence (default {ProbeConfig.max_steps:g}), at least 10"]),
         ("counterexample", ["--kmax"]),
     ])
     def test_help_shows_library_defaults(self, capsys, command, shown):

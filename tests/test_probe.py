@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -294,6 +295,12 @@ class TestGradientCoherence:
 
 
 class TestProbeConfigValidation:
+    def test_fields_are_the_specs_the_angle_floor_and_the_step_limit(self):
+        # The stopping policy is the module constants TAIL_WINDOW, CAUCHY_TOL
+        # and AGREE_TOL, not settings.
+        assert [f.name for f in dataclasses.fields(ProbeConfig)] == [
+            "sequence_specs", "angle_floor", "max_steps"]
+
     def test_needs_two_specs(self):
         with pytest.raises(InvalidSpec):
             ProbeConfig(sequence_specs=(radial(ORIGIN, 1.0, 0.0),))
