@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateBasis, InvalidSpec, RadiusUnderflow
 from .geometry import (
-    DEFAULT_DEGENERACY_FLOOR,
     PlaneCoeffs,
     Point2,
     ScalarField,
@@ -108,9 +107,11 @@ class TrajectoryStep:
 class CoefficientTrajectory:
     """Per-step coefficient records along one sequence spec.
 
-    ``limit`` is present exactly when ``converged`` is true. No step is ever
-    skipped as degenerate (see the module docstring), so ``steps`` holds
-    every step taken.
+    ``limit`` is present exactly when ``converged`` is true, and it is then
+    the plane of the last step. No step is ever skipped as degenerate (see
+    the module docstring), so ``steps`` holds every step taken, and
+    ``radius_exhausted`` is true exactly when the minimum radius ended the
+    trajectory before ``max_steps``, that is when it has fewer steps.
     """
 
     spec: SequenceSpec
@@ -172,7 +173,10 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
     Floor-exempt (counterexample) kinds keep stepping past angle-floor
     violations, flagging them per step; any other kind violating the floor is
     a broken precondition and raises. A radius underflow ends the trajectory
-    early with whatever was collected.
+    early with whatever was collected; that is the only way it ends before
+    ``cfg.max_steps``. The trajectory converges when its last ``TAIL_WINDOW``
+    coefficient vectors lie within ``CAUCHY_TOL`` of each other, and its limit
+    is then the secant plane of the last step.
 
     Raises:
         InvalidSpec: if ``spec.base`` differs from ``base``.
@@ -186,12 +190,10 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
     z_base = field_value(f, base)
 
     steps: list[TrajectoryStep] = []
-    exhausted = False
     for k in range(1, cfg.max_steps + 1):
         try:
             a, b = generate(spec, k)
         except RadiusUnderflow:
-            exhausted = True
             break
         ux, uy = a.x - base.x, a.y - base.y
         sin_theta = abs(_det_normalized(ux, uy, b.x - base.x, b.y - base.y)[0])
@@ -200,24 +202,21 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
             raise DegenerateBasis(
                 f"spec {spec.kind.value} violated the angle floor at step {k}",
                 sin_theta)
-        sample = SecantSample(base, a, b, z_base, field_value(f, a), field_value(f, b))
-        coeffs = secant_coefficients(sample, DEFAULT_DEGENERACY_FLOOR)
+        coeffs = secant_coefficients(
+            SecantSample(base, a, b, z_base, field_value(f, a), field_value(f, b)))
         steps.append(TrajectoryStep(
             k=k, alpha=coeffs.alpha, beta=coeffs.beta,
             sin_theta=sin_theta, radius=math.hypot(ux, uy),
             meets_floor=meets))
 
-    converged = False
-    limit: Optional[PlaneCoeffs] = None
-    if len(steps) >= TAIL_WINDOW:
-        tail = [(s.alpha, s.beta) for s in steps[-TAIL_WINDOW:]]
-        converged = _max_pairwise(tail) < CAUCHY_TOL
-        if converged:
-            limit = PlaneCoeffs(base.x, base.y, z_base,
-                                steps[-1].alpha, steps[-1].beta)
+    # The tail is full: max_steps is at least 2*TAIL_WINDOW, and no kind's
+    # radius falls below MIN_RADIUS before step 21, so every trajectory has
+    # at least that many steps.
+    converged = _max_pairwise([(s.alpha, s.beta) for s in steps[-TAIL_WINDOW:]]) < CAUCHY_TOL
     return CoefficientTrajectory(
-        spec=spec, steps=tuple(steps), converged=converged, limit=limit,
-        floor_exempt=exempt, radius_exhausted=exhausted)
+        spec=spec, steps=tuple(steps), converged=converged,
+        limit=coeffs if converged else None, floor_exempt=exempt,
+        radius_exhausted=len(steps) < cfg.max_steps)
 
 
 def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
