@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable
 
 from .errors import DegenerateBasis, EvaluationError, ZeroVector
@@ -165,6 +165,11 @@ def _unit(dx: float, dy: float) -> tuple[float, float]:
     if n < 2.0 ** -1022:
         # A subnormal norm is too coarse for a unit v / n; this scaling is exact.
         return _unit(dx * 2.0 ** 1000, dy * 2.0 ** 1000)
+    if n == inf and isfinite(dx) and isfinite(dy):
+        # Finite components whose norm overflows. Halved, their norm is below
+        # 1.3e308, so this recurses once; halving is exact for every component
+        # that does not round to 0 in the unit vector anyway.
+        return _unit(dx * 0.5, dy * 0.5)
     return dx / n, dy / n
 
 

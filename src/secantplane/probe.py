@@ -44,7 +44,7 @@ from .geometry import (
     residual_ratio,
     secant_coefficients,
 )
-from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, generate
+from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, _integer, generate
 
 
 TAIL_WINDOW = 5     # trailing steps whose coefficients must agree
@@ -67,7 +67,8 @@ class ProbeConfig:
     (radial specs have sin(theta) = 1; random specs must carry a floor at
     least this large). Counterexample kinds are exempt so the collapsing
     trajectories stay computable; their floor violations are flagged
-    per step instead. ``max_steps`` must leave room for two tail windows.
+    per step instead. ``max_steps`` must be an integer that leaves room for
+    two tail windows.
     The stopping policy is fixed by the module constants ``TAIL_WINDOW``,
     ``CAUCHY_TOL`` and ``AGREE_TOL``.
     """
@@ -82,6 +83,7 @@ class ProbeConfig:
             raise InvalidSpec("probing needs at least 2 sequence specs")
         if not (0.0 < self.angle_floor < 1.0):
             raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
+        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps))
         if self.max_steps < 2 * TAIL_WINDOW:
             raise InvalidSpec("max_steps must be at least 2*tail_window = "
                               f"{2 * TAIL_WINDOW}, got {self.max_steps!r}")

@@ -27,6 +27,7 @@ kinds therefore stop at step 20, whose radius 0.1 * 0.5**19 is about 1.9e-7.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +47,15 @@ _RESAMPLE_CAP = 10_000
 ORIGIN = Point2(0.0, 0.0)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: ints, bools and NumPy integers pass through
+    ``operator.index``, and anything else, a whole float too, is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
 class SequenceKind(Enum):
     COUNTEREXAMPLE_AB = "counterexample-ab"
     COUNTEREXAMPLE_AC = "counterexample-ac"
@@ -62,8 +72,10 @@ class SequenceSpec:
     """A rule producing point pairs (a_k, b_k) -> base.
 
     ``direction`` is used by RADIAL_ORTHOGONAL and must be unit length;
-    ``angle_floor`` and ``seed`` are used by RANDOM_ANGLE_FLOOR. Both kinds
-    step at the radii of :data:`INITIAL_RADIUS` and :data:`RADIUS_DECAY`.
+    ``angle_floor`` and ``seed`` are used by RANDOM_ANGLE_FLOOR. ``seed`` must
+    be an integer (``True`` is stored as 1), so equal specs draw equal
+    streams. Both kinds step at the radii of :data:`INITIAL_RADIUS` and
+    :data:`RADIUS_DECAY`.
     The counterexample kinds are pinned to the origin; their radii are
     sin(1/k) and 2 sin(1/k) by construction.
     """
@@ -81,6 +93,7 @@ class SequenceSpec:
             raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
         if abs(self.direction.norm() - 1.0) > 1e-12:
             raise InvalidSpec(f"direction must be unit length, |d|={self.direction.norm()!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed!r}")
         if self.kind in FLOOR_EXEMPT_KINDS and (self.base.x != 0.0 or self.base.y != 0.0):

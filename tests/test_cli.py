@@ -54,6 +54,14 @@ class TestEstimate:
         assert code == 3
         assert "error" in err
 
+    def test_basis_with_overflowing_norms_exits_0(self, capsys):
+        # The basis is orthogonal, though hypot of each column overflows.
+        code, out, err = run_cli(capsys, "estimate", "--function", "0*x", "--point", "0,0",
+                                 "--a", "1.7e308,1.7e308", "--b=-1.7e308,1.7e308",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["sin_theta"] - 1.0) <= 2 * math.ulp(1.0)
+
     def test_bad_expression_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--function", "x +",
                                "--point", "0,0", "--a", "1,0", "--b", "0,1")
@@ -100,6 +108,17 @@ class TestProbe:
         payload = json.loads(out)
         est = payload["summary"]["jacobian_estimate"]
         assert abs(est[0]) <= 1e-6 and abs(est[1]) <= 1e-6
+
+    def test_radial_direction_with_overflowing_norm(self, capsys):
+        def direction(seqs):
+            code, out, _ = run_cli(capsys, "probe", "--function", "x^2+y^2", "--point",
+                                   "0,0", "--seqs", seqs, "--format", "json")
+            assert code == 0
+            return json.loads(out)["config"]["sequence_specs"][0]["direction"]
+
+        want = direction("radial:1,1;radial:0,1")
+        got = direction("radial:1.7e308,1.7e308;radial:0,1")
+        assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
 
     def test_absolute_value_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "probe", "--function", "abs(x)",

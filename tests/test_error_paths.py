@@ -164,6 +164,12 @@ RADIAL_PAIR = (SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2
     # max_steps must leave room for two tail windows of probe.TAIL_WINDOW = 5.
     (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, max_steps=8), InvalidSpec,
      "max_steps must be at least 2*tail_window = 10, got 8"),
+    (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, max_steps=7), InvalidSpec,
+     "max_steps must be at least 2*tail_window = 10, got 7"),
+    (lambda: ProbeConfig(sequence_specs=RADIAL_PAIR, max_steps=10.5), InvalidSpec,
+     "max_steps must be an integer, got 10.5"),
+    (lambda: SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, seed=1.5), InvalidSpec,
+     "seed must be an integer, got 1.5"),
     (lambda: SequenceSpec("radial"), InvalidSpec, "unknown sequence kind 'radial'"),
     (lambda: generate(SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR,
                                    angle_floor=0.999999999999, seed=0), 1), InvalidSpec,

@@ -20,6 +20,7 @@ from secantplane import (
     sample_function,
     secant_coefficients,
 )
+from secantplane.geometry import _unit
 from helpers import ulps
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -59,6 +60,21 @@ class TestAngleBetween:
             angle_between(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
         with pytest.raises(ZeroVector):
             angle_between(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
+
+    def test_overflowing_norms_give_unit_directions(self):
+        # hypot overflows to inf once the components pass about 1.27e308; the
+        # units must not collapse to (0, 0) there.
+        bq = angle_between(Vec2(1.7e308, 1.7e308), Vec2(-1.7e308, 1.7e308))
+        assert abs(bq.sin_theta - 1.0) <= ulps(1.0, 2)
+        big = 1.7976931348623157e308
+        assert _unit(big, -big) == _unit(1.0, -1.0)
+
+    @pytest.mark.parametrize("dx,dy", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0),
+                                       (math.inf, math.nan), (math.nan, math.nan)])
+    def test_unit_of_a_non_finite_vector_returns(self, dx, dy):
+        # Vec2 and _det_normalized reject such components before any call, but
+        # the overflow branch must not recurse on them without end.
+        assert not all(map(math.isfinite, _unit(dx, dy)))
 
     @given(finite, finite, finite, finite)
     @example(0.0, 1.0, 5e-324, 5e-324)

@@ -10,6 +10,7 @@ from secantplane import (
     DegenerateBasis,
     EvaluationError,
     InvalidSpec,
+    PlaneCoeffs,
     Point2,
     ProbeConfig,
     RadiusUnderflow,
@@ -43,6 +44,31 @@ def default_cfg(base, **overrides):
 
 
 class TestRunTrajectory:
+    @pytest.mark.parametrize("max_steps,want_steps,want_exhausted", [
+        (19, 19, False), (20, 20, False), (21, 20, True)])
+    def test_radius_guard_boundary(self, max_steps, want_steps, want_exhausted):
+        # Step 20's radius 0.1*0.5**19 is above MIN_RADIUS and step 21's is below.
+        spec = radial(ORIGIN, 1.0, 0.0)
+        cfg = ProbeConfig(sequence_specs=(spec, spec), max_steps=max_steps)
+        traj = run_trajectory(SQUARE, ORIGIN, spec, cfg)
+        assert (len(traj.steps), traj.radius_exhausted) == (want_steps, want_exhausted)
+
+    def test_counterexample_runs_to_max_steps(self):
+        spec = SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC)
+        cfg = ProbeConfig(sequence_specs=(spec, spec), max_steps=40)
+        traj = run_trajectory(SQUARE, ORIGIN, spec, cfg)
+        assert (len(traj.steps), traj.radius_exhausted) == (40, False)
+
+    @pytest.mark.parametrize("spec_index", [0, 1, 2])
+    def test_limit_is_the_plane_of_the_last_step(self, spec_index):
+        base = Point2(1.0, 2.0)
+        cfg = default_cfg(base)
+        traj = run_trajectory(SQUARE, base, cfg.sequence_specs[spec_index], cfg)
+        assert traj.converged
+        last = traj.steps[-1]
+        assert traj.limit == PlaneCoeffs(base.x, base.y, SQUARE(base.x, base.y),
+                                         last.alpha, last.beta)
+
     def test_square_at_origin_converges_to_zero(self):
         cfg = default_cfg(ORIGIN)
         traj = run_trajectory(SQUARE, ORIGIN, radial(ORIGIN, 1.0, 0.0), cfg)
@@ -305,20 +331,22 @@ class TestProbeConfigValidation:
         with pytest.raises(InvalidSpec):
             ProbeConfig(sequence_specs=(radial(ORIGIN, 1.0, 0.0),))
 
-    def test_tail_window_cap(self):
-        specs = default_sequence_specs(ORIGIN)
-        with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, max_steps=8)
-
     def test_angle_floor_range(self):
         specs = default_sequence_specs(ORIGIN)
         with pytest.raises(InvalidSpec):
             ProbeConfig(sequence_specs=specs, angle_floor=1.0)
 
-    def test_min_steps(self):
-        specs = default_sequence_specs(ORIGIN)
-        with pytest.raises(InvalidSpec):
-            ProbeConfig(sequence_specs=specs, max_steps=7)
+    def test_max_steps_is_stored_as_an_int(self):
+        class Index:
+            """An integer type that is not ``int``, as NumPy's are."""
+
+            def __index__(self):
+                return 12
+
+        cfg = ProbeConfig(sequence_specs=default_sequence_specs(ORIGIN), max_steps=Index())
+        assert type(cfg.max_steps) is int and cfg.max_steps == 12
+        traj = run_trajectory(SQUARE, ORIGIN, cfg.sequence_specs[0], cfg)
+        assert len(traj.steps) == 12
 
 
 def _pairwise_loop(vectors):

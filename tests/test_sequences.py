@@ -216,6 +216,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1, True, 1.0])
+    def test_seeds_equal_to_one_draw_one_stream_or_are_rejected(self, seed):
+        # Equal specs must draw equal pairs: an integer seed is stored as an
+        # int, and a float seed, even a whole one, is rejected.
+        def spec(s):
+            return SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=Point2(1.0, 2.0), seed=s)
+
+        if isinstance(seed, float):
+            with pytest.raises(InvalidSpec, match="seed must be an integer, got 1.0"):
+                spec(seed)
+            return
+        assert spec(seed) == spec(1) and hash(spec(seed)) == hash(spec(1))
+        assert type(spec(seed).seed) is int
+        assert [generate(spec(seed), k) for k in (1, 2)] == [generate(spec(1), k) for k in (1, 2)]
+
     def test_step_index_must_be_positive(self):
         spec = SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL)
         with pytest.raises(InvalidSpec):
