@@ -545,7 +545,8 @@ class TestEntryPoints:
         assert proc.stdout == "[]\n"
 
     def test_pyproject_names_the_package_version_and_cli(self):
-        # No test runs the installed console script, so this checks what it names.
+        # Tier-1 runs src/, not the installed console script (CI runs that in a
+        # separate step), so this checks what pyproject.toml names.
         tomllib = pytest.importorskip("tomllib")   # Python 3.11+
         with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
             project = tomllib.load(handle)["project"]
