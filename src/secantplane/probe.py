@@ -113,7 +113,7 @@ class CoefficientTrajectory:
     the plane of the last step. No step is ever skipped as degenerate (see
     the module docstring), so ``steps`` holds every step taken, and
     ``radius_exhausted`` is true exactly when the minimum radius ended the
-    trajectory before ``max_steps``, that is when it has fewer steps.
+    trajectory before ``max_steps``, which leaves it fewer steps than that.
     """
 
     spec: SequenceSpec
