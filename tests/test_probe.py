@@ -44,20 +44,18 @@ def default_cfg(base, **overrides):
 
 
 class TestRunTrajectory:
-    @pytest.mark.parametrize("max_steps,want_steps,want_exhausted", [
-        (19, 19, False), (20, 20, False), (21, 20, True)])
-    def test_radius_guard_boundary(self, max_steps, want_steps, want_exhausted):
-        # Step 20's radius 0.1*0.5**19 is above MIN_RADIUS and step 21's is below.
-        spec = radial(ORIGIN, 1.0, 0.0)
+    @pytest.mark.parametrize("kind,max_steps,want_steps,want_exhausted", [
+        (SequenceKind.RADIAL_ORTHOGONAL, 19, 19, False),
+        (SequenceKind.RADIAL_ORTHOGONAL, 20, 20, False),
+        (SequenceKind.RADIAL_ORTHOGONAL, 21, 20, True),
+        (SequenceKind.COUNTEREXAMPLE_AC, 40, 40, False)])
+    def test_radius_guard_boundary(self, kind, max_steps, want_steps, want_exhausted):
+        # A radial step 20's radius 0.1*0.5**19 is above MIN_RADIUS and step
+        # 21's is below; a counterexample radius sin(1/k) stays above to k ~ 1e7.
+        spec = SequenceSpec(kind)
         cfg = ProbeConfig(sequence_specs=(spec, spec), max_steps=max_steps)
         traj = run_trajectory(SQUARE, ORIGIN, spec, cfg)
         assert (len(traj.steps), traj.radius_exhausted) == (want_steps, want_exhausted)
-
-    def test_counterexample_runs_to_max_steps(self):
-        spec = SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC)
-        cfg = ProbeConfig(sequence_specs=(spec, spec), max_steps=40)
-        traj = run_trajectory(SQUARE, ORIGIN, spec, cfg)
-        assert (len(traj.steps), traj.radius_exhausted) == (40, False)
 
     @pytest.mark.parametrize("spec_index", [0, 1, 2])
     def test_limit_is_the_plane_of_the_last_step(self, spec_index):
