@@ -347,15 +347,23 @@ def _prec(e: Expr) -> int:
 def to_source(e: Expr) -> str:
     """Render a tree back to source that re-parses to an identical tree.
 
+    That holds for every tree whose ``Num`` leaves ``parse`` can build:
+    finite, and not negative or -0.0. A negative number is ``Neg(Num(...))``.
+
     Raises:
-        EvaluationError: for a tree nested too deeply for the interpreter's
-            recursion.
+        EvaluationError: for any other ``Num``, which has no source form
+            (``-1.0^2.0`` would re-parse as ``-(1.0^2.0)``), or for a tree
+            nested too deeply for the interpreter's recursion.
     """
     return _within_depth(_TOO_DEEP_TO_PRINT, _to_source, e)
 
 
 def _to_source(e: Expr) -> str:
     if isinstance(e, Num):
+        if not (isfinite(e.value) and math.copysign(1.0, e.value) > 0.0):
+            raise EvaluationError(
+                f"cannot print the number {e.value!r}: a literal is finite "
+                "and has no minus sign", node=e)
         return repr(e.value)
     if isinstance(e, (Var, Const)):
         return e.name

@@ -58,9 +58,6 @@ class Vec2:
     def dot(self, other: "Vec2") -> float:
         return self.dx * other.dx + self.dy * other.dy
 
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(self.dx * s, self.dy * s)
-
     def is_zero(self) -> bool:
         return self.dx == 0.0 and self.dy == 0.0
 
@@ -257,12 +254,16 @@ def orthogonal_companion(base: Point2, a: Point2) -> Point2:
     equal radius: (B-base).(a-base) = 0 and |B-base| = |a-base|.
 
     Raises:
+        ValueError: if a component of ``a - base`` overflows, named as the
+            ``Vec2`` field ``dx`` or ``dy``.
         ZeroVector: if ``a`` coincides with ``base``.
     """
-    d = a - base
-    if d.is_zero():
+    dx, dy = a.x - base.x, a.y - base.y
+    if not (isfinite(dx) and isfinite(dy)):
+        _require_finite(dx=dx, dy=dy)
+    if dx == 0.0 and dy == 0.0:
         raise ZeroVector("cannot build a companion for a zero displacement")
-    return Point2(base.x - d.dy, base.y + d.dx)
+    return Point2(base.x - dy, base.y + dx)
 
 
 def normalized_inverse_entry_bound(s: SecantSample) -> float:

@@ -112,13 +112,13 @@ def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
     """
     if k < 1:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
-    s = math.sin(1.0 / k)
-    c = math.cos(1.0 / k)
-    return (
-        Point2(s, 0.0),
-        Point2(2.0 * s * c, 2.0 * s * s),
-        Point2(3.0 * s * c, 3.0 * s * s),
-    )
+    s, c = math.sin(1.0 / k), math.cos(1.0 / k)
+    return Point2(s, 0.0), _companion(2.0, s, c), _companion(3.0, s, c)
+
+
+def _companion(scale: float, s: float, c: float) -> Point2:
+    """B_k for ``scale`` 2 and C_k for 3, from s = sin(1/k) and c = cos(1/k)."""
+    return Point2(scale * s * c, scale * s * s)
 
 
 def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
@@ -135,12 +135,13 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
 
     if spec.kind in FLOOR_EXEMPT_KINDS:
-        a, b, c = counterexample_points(k)
-        if a.x < MIN_RADIUS:
+        # Only the pairing's own companion is built, not all of counterexample_points.
+        s = math.sin(1.0 / k)
+        if s < MIN_RADIUS:
             raise RadiusUnderflow(
                 f"counterexample radius sin(1/{k}) is below {MIN_RADIUS:g}")
-        other = b if spec.kind is SequenceKind.COUNTEREXAMPLE_AB else c
-        return a, other
+        scale = 2.0 if spec.kind is SequenceKind.COUNTEREXAMPLE_AB else 3.0
+        return Point2(s, 0.0), _companion(scale, s, math.cos(1.0 / k))
 
     radius = INITIAL_RADIUS * RADIUS_DECAY ** (k - 1)
     if radius < MIN_RADIUS:
@@ -148,9 +149,11 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
             f"radius {radius:.3e} at step {k} is below {MIN_RADIUS:g}")
 
     if spec.kind is SequenceKind.RADIAL_ORTHOGONAL:
-        a = spec.base.translate(spec.direction.scaled(radius))
-        b = orthogonal_companion(spec.base, a)
-        return a, b
+        # The step needs no check of its own: a unit direction times at most
+        # INITIAL_RADIUS is finite, and Point2 checks the sums.
+        base, d = spec.base, spec.direction
+        a = Point2(base.x + d.dx * radius, base.y + d.dy * radius)
+        return a, orthogonal_companion(base, a)
 
     # RANDOM_ANGLE_FLOOR: per-step stream so steps are independent of each
     # other and of how many earlier steps were generated.

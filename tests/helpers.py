@@ -5,6 +5,19 @@ import math
 from secantplane import Point2
 
 
+class RecordingField:
+    """A scalar field that logs each point it is evaluated at, as the
+    ``float.hex`` of both coordinates, so that 0.0 and -0.0 stay apart."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points: list[tuple[str, str]] = []
+
+    def __call__(self, x, y):
+        self.points.append((x.hex(), y.hex()))
+        return self.f(x, y)
+
+
 def ulps(scale: float, count: float) -> float:
     """Absolute tolerance of ``count`` ulp at magnitude ``scale``."""
     return count * math.ulp(abs(scale))

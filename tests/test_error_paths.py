@@ -23,6 +23,7 @@ from secantplane import (
     angle_between,
     generate,
     normalized_inverse_entry_bound,
+    orthogonal_companion,
     run_trajectory,
     secant_coefficients,
 )
@@ -142,6 +143,15 @@ def test_zero_direction_messages():
                           ZeroVector, "second direction has zero length")
 
 
+def test_printer_refuses_a_negative_literal():
+    # Printed as "-1.0^2.0", this tree would re-parse as -(1.0^2.0).
+    leaf = Num(-1.0)
+    exc = assert_raises_exactly(lambda: to_source(BinOp("^", leaf, Num(2.0))), EvaluationError,
+                                "cannot print the number -1.0: a literal is finite and has "
+                                "no minus sign")
+    assert exc.node == leaf
+
+
 RADIAL_PAIR = (SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2
 
 
@@ -170,6 +180,14 @@ RADIAL_PAIR = (SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL),) * 2
      "max_steps must be an integer, got 10.5"),
     (lambda: SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, seed=1.5), InvalidSpec,
      "seed must be an integer, got 1.5"),
+    # The displacement a - base is checked as a Vec2 would be, before the
+    # companion point is built from it.
+    (lambda: orthogonal_companion(Point2(-1e308, 0.0), Point2(1e308, 0.0)), ValueError,
+     "dx must be finite, got inf"),
+    (lambda: orthogonal_companion(Point2(0.0, 1e308), Point2(0.0, -1e308)), ValueError,
+     "dy must be finite, got -inf"),
+    (lambda: orthogonal_companion(Point2(1.0, 1e20), Point2(1.0, 1e20)), ZeroVector,
+     "cannot build a companion for a zero displacement"),
     (lambda: SequenceSpec("radial"), InvalidSpec, "unknown sequence kind 'radial'"),
     (lambda: generate(SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR,
                                    angle_floor=0.999999999999, seed=0), 1), InvalidSpec,

@@ -245,6 +245,38 @@ def test_round_trip_print_then_parse(tree):
     assert parse(to_source(tree)) == tree
 
 
+# Numbers parse never builds: negative, -0.0 and non-finite. A negative
+# literal would print as "-1.0" and re-parse as Neg, or as -(1.0^2.0) under ^.
+_unprintable_leaves = st.one_of(
+    st.floats(max_value=-0.0),
+    st.sampled_from([math.inf, math.nan]),
+).map(Num)
+
+
+def _unprintable(tree):
+    if isinstance(tree, Num):
+        return not (math.isfinite(tree.value) and math.copysign(1.0, tree.value) > 0.0)
+    if isinstance(tree, BinOp):
+        return _unprintable(tree.left) or _unprintable(tree.right)
+    if isinstance(tree, Neg):
+        return _unprintable(tree.operand)
+    if isinstance(tree, Call):
+        return _unprintable(tree.arg)
+    return False
+
+
+@given(_trees_of(st.one_of(_leaves, _unprintable_leaves), 10))
+@settings(max_examples=500, deadline=None)
+@example(BinOp("^", Num(-1.0), Num(2.0)))
+@example(Neg(Num(-0.0)))
+def test_printer_refuses_numbers_parse_never_builds(tree):
+    if _unprintable(tree):
+        with pytest.raises(EvaluationError, match="^cannot print the number "):
+            to_source(tree)
+    else:
+        assert parse(to_source(tree)) == tree
+
+
 @given(_hazardous_trees, _coords, _coords)
 @settings(max_examples=1000, deadline=None)
 # A failing root node: no enclosing node re-checks its result.

@@ -27,7 +27,7 @@ from secantplane import (
     secant_coefficients,
 )
 from secantplane.probe import AGREE_TOL, _max_pairwise
-from helpers import battery_cases, ulps
+from helpers import RecordingField, battery_cases, ulps
 
 ORIGIN = Point2(0.0, 0.0)
 SQUARE = lambda x, y: x * x + y * y
@@ -197,29 +197,104 @@ class TestProbeVerdicts:
         assert probe(f, base, cfg) == probe(f, base, cfg)
 
 
-class CountingField:
-    """A scalar field that counts its evaluations."""
-
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, x, y):
-        self.calls += 1
-        return self.f(x, y)
+def expected_points(report, base):
+    """The distinct points a probe needs, rebuilt from ``generate`` and the
+    report's residual radii, as ``RecordingField`` logs them."""
+    points = [(base.x, base.y)]
+    for t in report.trajectories:
+        for k in range(1, len(t.steps) + 1):
+            points.extend((p.x, p.y) for p in generate(t.spec, k))
+    points.extend((base.x + r, base.y) for r, _ in report.residual_checks)
+    # Keyed by hex, since a set of floats would merge 0.0 with -0.0.
+    return {(x.hex(), y.hex()) for x, y in points}
 
 
 class TestEvaluationCount:
     def test_default_probe_at_a_smooth_point(self):
         base = Point2(1.0, 2.0)
-        f = CountingField(SQUARE)
+        f = RecordingField(SQUARE)
         report = probe(f, base, default_cfg(base))
         assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
-        # Three trajectories of f(P) plus two companions at each of 20 steps,
-        # then one residual check per retained radius.
         assert [len(t.steps) for t in report.trajectories] == [20, 20, 20]
         assert len(report.residual_checks) == 20
-        assert f.calls == 3 * (1 + 2 * 20) + 20
+        # f runs once per distinct point: f(P) once for all three
+        # trajectories, two companions at each of 20 steps, and no call for
+        # the residual checks, whose points (P.x + r_k, P.y) are the
+        # companions a_k of the radial (1, 0) trajectory.
+        assert len(f.points) == 1 + 3 * 2 * 20
+        assert len(set(f.points)) == len(f.points)
+        assert set(f.points) == expected_points(report, base)
+
+    @pytest.mark.parametrize("case", [
+        (Point2(0.3, -0.4), 0),
+        (Point2(-0.7, 0.0), 5),
+        (Point2(1e6, 0.0), 0),      # inconclusive: no residual checks
+        (Point2(0.25, -0.0), 9),    # residual points differ from a_k by the sign of y
+    ], ids=["smooth", "y=0", "far", "y=-0"])
+    def test_each_point_once_and_no_other(self, case):
+        base, seed = case
+        f = RecordingField(lambda x, y: math.sin(x) * math.cos(y) + x * x * y)
+        report = probe(f, base, ProbeConfig(
+            sequence_specs=default_sequence_specs(base, seed=seed)))
+        assert len(set(f.points)) == len(f.points)
+        assert set(f.points) == expected_points(report, base)
+
+    def test_signed_zero_x_is_its_own_point(self):
+        # From x = -0.0, radial (1, 0) has companions b_k = (-0.0, y + r_k),
+        # and radial (0, 1) has a_k = (+0.0, y + r_k): different points.
+        base = Point2(-0.0, 0.5)
+        f = RecordingField(SQUARE)
+        report = probe(f, base, ProbeConfig(
+            sequence_specs=(radial(base, 1.0, 0.0), radial(base, 0.0, 1.0))))
+        assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
+        assert len(f.points) == 1 + 2 * 2 * 20
+        assert set(f.points) == expected_points(report, base)
+
+    def test_shared_points_of_two_equal_radials(self):
+        base = Point2(1.0, 2.0)
+        f = RecordingField(SQUARE)
+        report = probe(f, base, ProbeConfig(
+            sequence_specs=(radial(base, 1.0, 0.0), radial(base, 1.0, 0.0))))
+        assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
+        assert len(f.points) == 1 + 2 * 20
+
+    def test_collapsing_pairings_share_a_k(self):
+        f = RecordingField(SQUARE)
+        report = probe(f, ORIGIN, ProbeConfig(
+            sequence_specs=(SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB),
+                            SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC)),
+            max_steps=2000))
+        assert report.verdict is Verdict.CONTRADICTED
+        # A_k, B_k and C_k at each of 2000 steps, and the origin.
+        assert len(f.points) == 1 + 3 * 2000
+        assert set(f.points) == expected_points(report, ORIGIN)
+
+    def test_no_value_outlives_its_probe(self):
+        base = Point2(1.0, 2.0)
+        cfg = default_cfg(base)
+        f = RecordingField(SQUARE)
+        first = probe(f, base, cfg)
+        assert len(f.points) == 121
+        assert probe(f, base, cfg) == first
+        assert len(f.points) == 2 * 121
+
+    def test_signed_zero_is_its_own_point(self):
+        # At y = -0.0 this function is 1e-13 higher than at y = +0.0. The
+        # radial (1, 0) companions a_k have y = -0.0 + 0.0 = +0.0, while the
+        # residual points keep the base's -0.0: a memo that compared plain
+        # coordinates would hand them f at +0.0.
+        def f(x, y):
+            return x * x + y * y + (1e-13 if math.copysign(1.0, y) < 0 else 0.0)
+
+        base = Point2(1.0, -0.0)
+        report = probe(f, base, default_cfg(base))
+        assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
+        alpha, beta = report.jacobian_estimate
+        z0 = f(1.0, -0.0)
+        radii = [s.radius for s in report.trajectories[0].steps]
+        want = tuple((r, abs((f(1.0 + r, -0.0) - z0) - (alpha * r + beta * 0.0)) / r)
+                     for r in radii)
+        assert report.residual_checks == want
 
     @pytest.mark.parametrize("spec", [
         radial(ORIGIN, 1.0, 0.0),
@@ -228,10 +303,11 @@ class TestEvaluationCount:
     ], ids=lambda s: s.kind.value)
     def test_trajectory_evaluates_base_once(self, spec):
         cfg = ProbeConfig(sequence_specs=(spec, radial(ORIGIN, 0.0, 1.0)), max_steps=50)
-        f = CountingField(SQUARE)
+        # run_trajectory itself keeps no memo: one call per point it visits.
+        f = RecordingField(SQUARE)
         traj = run_trajectory(f, ORIGIN, spec, cfg)
         assert len(traj.steps) == (50 if traj.floor_exempt else 20)
-        assert f.calls == 1 + 2 * len(traj.steps)
+        assert len(f.points) == 1 + 2 * len(traj.steps)
 
 
 class TestTrajectorySteps:
