@@ -24,6 +24,7 @@ from secantplane import (
     generate,
     normalized_inverse_entry_bound,
     orthogonal_companion,
+    probe,
     run_trajectory,
     secant_coefficients,
 )
@@ -134,6 +135,18 @@ def test_radial_companion_lost_to_rounding_ends_the_trajectory():
     cfg = ProbeConfig(sequence_specs=(spec, spec))
     assert_raises_exactly(lambda: run_trajectory(lambda x, y: x, base, spec, cfg),
                           ZeroVector, "second direction has zero length")
+
+
+def test_coefficient_overflow_is_named_as_alpha():
+    # The first radial (1, 0) step gives alpha = 1e308 / 0.1, which overflows.
+    base = Point2(0.0, 0.0)
+    spec = SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base, direction=Vec2(1.0, 0.0))
+    cfg = ProbeConfig(sequence_specs=(spec, spec))
+    f = lambda x, y: 1e308 if x > 0 else 0.0
+    assert_raises_exactly(lambda: run_trajectory(f, base, spec, cfg), ValueError,
+                          "alpha must be finite, got inf")
+    assert_raises_exactly(lambda: probe(f, base, cfg), ValueError,
+                          "alpha must be finite, got inf")
 
 
 def test_zero_direction_messages():
