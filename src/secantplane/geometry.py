@@ -209,6 +209,38 @@ def angle_between(u: Vec2, v: Vec2) -> BasisQuality:
     return BasisQuality(sin_theta=abs(det), theta=theta, det_normalized=det)
 
 
+def _solve(ux: float, uy: float, vx: float, vy: float, sin_theta: float, dz_a: float,
+           dz_b: float, degeneracy_floor: float = DEFAULT_DEGENERACY_FLOOR) -> tuple[float, float]:
+    """``(alpha, beta)`` of the plane through a base point and its companions.
+
+    ``(ux, uy)`` and ``(vx, vy)`` are the displacements ``a - base`` and
+    ``b - base``, ``sin_theta`` the basis angle ``_det_normalized`` gives for
+    them, and ``dz_a``, ``dz_b`` the z-differences ``z_a - z_base`` and
+    ``z_b - z_base``; the 2x2 system is solved with the adjugate formula.
+
+    Raises:
+        DegenerateBasis: if ``sin_theta`` falls below ``degeneracy_floor``.
+        ValueError: if a coefficient overflows, named ``alpha`` or ``beta``
+            as ``PlaneCoeffs`` would name it.
+    """
+    if sin_theta < degeneracy_floor:
+        raise DegenerateBasis(
+            f"secant basis sin(theta)={sin_theta:.6e} is below "
+            f"the floor {degeneracy_floor:.6e}",
+            sin_theta,
+        )
+    det = ux * vy - uy * vx
+    unscale = 1.0
+    if abs(dz_a) < 2.0 ** -960 and abs(dz_b) < 2.0 ** -960:
+        # Their products would lose digits as subnormals; power-of-two scaling is exact.
+        dz_a, dz_b, unscale = dz_a * 2.0 ** 1000, dz_b * 2.0 ** 1000, 2.0 ** -1000
+    alpha = (dz_a * vy - dz_b * uy) / det * unscale
+    beta = (dz_b * ux - dz_a * vx) / det * unscale
+    if not (isfinite(alpha) and isfinite(beta)):
+        _require_finite(alpha=alpha, beta=beta)
+    return alpha, beta
+
+
 def secant_coefficients(s: SecantSample,
                         degeneracy_floor: float = DEFAULT_DEGENERACY_FLOOR) -> PlaneCoeffs:
     """Coefficients of the plane through the three sample points.
@@ -226,20 +258,9 @@ def secant_coefficients(s: SecantSample,
     x0, y0 = s.base.x, s.base.y
     ux, uy, vx, vy = s.a.x - x0, s.a.y - y0, s.b.x - x0, s.b.y - y0
     sin_theta = abs(_det_normalized(ux, uy, vx, vy)[0])
-    if sin_theta < degeneracy_floor:
-        raise DegenerateBasis(
-            f"secant basis sin(theta)={sin_theta:.6e} is below "
-            f"the floor {degeneracy_floor:.6e}",
-            sin_theta,
-        )
-    det = ux * vy - uy * vx
-    dz_a, dz_b, unscale = s.z_a - s.z_base, s.z_b - s.z_base, 1.0
-    if abs(dz_a) < 2.0 ** -960 and abs(dz_b) < 2.0 ** -960:
-        # Their products would lose digits as subnormals; power-of-two scaling is exact.
-        dz_a, dz_b, unscale = dz_a * 2.0 ** 1000, dz_b * 2.0 ** 1000, 2.0 ** -1000
-    alpha = (dz_a * vy - dz_b * uy) / det * unscale
-    beta = (dz_b * ux - dz_a * vx) / det * unscale
-    return PlaneCoeffs(x0, y0, s.z_base, alpha, beta)
+    return PlaneCoeffs(x0, y0, s.z_base,
+                       *_solve(ux, uy, vx, vy, sin_theta, s.z_a - s.z_base,
+                               s.z_b - s.z_base, degeneracy_floor))
 
 
 def plane_eval(c: PlaneCoeffs, q: Point2) -> float:

@@ -40,6 +40,7 @@ from .geometry import (
     SecantSample,
     Vec2,
     _det_normalized,
+    _solve,
     field_value,
     residual_ratio,
     secant_coefficients,
@@ -168,6 +169,12 @@ def _max_pairwise(vectors: Sequence[tuple[float, float]]) -> float:
     return max((max(c) - min(c) for c in zip(*vectors)), default=0.0)
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean of finite ``values``, finite even where their sum overflows."""
+    total = sum(values)
+    return total / len(values) if math.isfinite(total) else sum(v / len(values) for v in values)
+
+
 def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
                    cfg: ProbeConfig) -> CoefficientTrajectory:
     """Drive one sequence toward ``base`` and record the coefficient path.
@@ -180,15 +187,25 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
     coefficient vectors lie within ``CAUCHY_TOL`` of each other, and its limit
     is then the secant plane of the last step.
 
+    Each step is one pass over plain floats: the pair from ``generate``, its
+    displacements from ``base``, one basis angle, the floor test, ``f`` at
+    ``a`` and then at ``b``, and the adjugate solve that
+    ``secant_coefficients`` shares. The limit is ``secant_coefficients`` of
+    the last step's sample, which gives the step's coefficients bit for bit.
+
     Raises:
         InvalidSpec: if ``spec.base`` differs from ``base``.
+        DegenerateBasis: if a spec that is not floor-exempt violates the
+            angle floor.
         EvaluationError: if ``f`` returns a non-finite value.
+        ValueError: if a coefficient overflows, named as ``alpha`` or ``beta``.
     """
     if spec.base.x != base.x or spec.base.y != base.y:
         raise InvalidSpec(
             f"sequence spec base ({spec.base.x}, {spec.base.y}) does not match "
             f"the probed base ({base.x}, {base.y})")
     exempt = spec.kind in FLOOR_EXEMPT_KINDS
+    x0, y0 = base.x, base.y
     z_base = field_value(f, base)
 
     steps: list[TrajectoryStep] = []
@@ -197,27 +214,27 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
             a, b = generate(spec, k)
         except RadiusUnderflow:
             break
-        ux, uy = a.x - base.x, a.y - base.y
-        sin_theta = abs(_det_normalized(ux, uy, b.x - base.x, b.y - base.y)[0])
+        ux, uy, vx, vy = a.x - x0, a.y - y0, b.x - x0, b.y - y0
+        sin_theta = abs(_det_normalized(ux, uy, vx, vy)[0])
         meets = sin_theta >= cfg.angle_floor
         if not meets and not exempt:
             raise DegenerateBasis(
                 f"spec {spec.kind.value} violated the angle floor at step {k}",
                 sin_theta)
-        coeffs = secant_coefficients(
-            SecantSample(base, a, b, z_base, field_value(f, a), field_value(f, b)))
+        z_a, z_b = field_value(f, a), field_value(f, b)
+        alpha, beta = _solve(ux, uy, vx, vy, sin_theta, z_a - z_base, z_b - z_base)
         # Positional: keyword construction costs about a quarter of the record.
-        steps.append(TrajectoryStep(k, coeffs.alpha, coeffs.beta, sin_theta,
-                                    math.hypot(ux, uy), meets))
+        steps.append(TrajectoryStep(k, alpha, beta, sin_theta, math.hypot(ux, uy), meets))
 
     # The tail is full: max_steps is at least 2*TAIL_WINDOW, and no kind's
     # radius falls below MIN_RADIUS before step 21, so every trajectory has
     # at least that many steps.
     converged = _max_pairwise([(s.alpha, s.beta) for s in steps[-TAIL_WINDOW:]]) < CAUCHY_TOL
+    # The last step's plane, by the solve that gave its coefficients.
+    limit = secant_coefficients(SecantSample(base, a, b, z_base, z_a, z_b)) if converged else None
     return CoefficientTrajectory(
-        spec=spec, steps=tuple(steps), converged=converged,
-        limit=coeffs if converged else None, floor_exempt=exempt,
-        radius_exhausted=len(steps) < cfg.max_steps)
+        spec=spec, steps=tuple(steps), converged=converged, limit=limit,
+        floor_exempt=exempt, radius_exhausted=len(steps) < cfg.max_steps)
 
 
 def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
@@ -270,8 +287,7 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
         verdict = Verdict.INCONCLUSIVE
     elif max_disagreement <= AGREE_TOL:
         verdict = Verdict.CONSISTENT_WITH_DIFFERENTIABLE
-        estimate = (sum(l[0] for l in limits) / len(limits),
-                    sum(l[1] for l in limits) / len(limits))
+        estimate = (_mean([l[0] for l in limits]), _mean([l[1] for l in limits]))
         plane = PlaneCoeffs(base.x, base.y, converged[0].limit.z0, *estimate)
         checks = []
         for step in converged[0].steps:

@@ -120,6 +120,14 @@ class TestProbe:
         got = direction("radial:1.7e308,1.7e308;radial:0,1")
         assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
 
+    def test_estimate_whose_limits_sum_past_the_largest_float_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "--function", "1e308*x",
+                                 "--point", "0,0", "--format", "json")
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["summary"]
+        assert summary["verdict"] == "consistent-with-differentiable"
+        assert summary["jacobian_estimate"] == [1e308, 0.0]
+
     def test_absolute_value_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "probe", "--function", "abs(x)",
                              "--point", "0,0")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +191,16 @@ class TestProbeVerdicts:
         assert [t.converged for t in report.trajectories] == [True, False]
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    def test_estimate_of_limits_whose_sum_overflows(self):
+        # Both radial limits are exactly (1e308, 0), so their plain sum is inf.
+        f = lambda x, y: 1e308 * x
+        report = probe(f, ORIGIN, default_cfg(ORIGIN))
+        limits = [(t.limit.alpha, t.limit.beta) for t in report.trajectories if t.converged]
+        assert limits == [(1e308, 0.0), (1e308, 0.0)]
+        assert report.verdict is Verdict.CONSISTENT_WITH_DIFFERENTIABLE
+        assert report.jacobian_estimate == (1e308, 0.0)
+        assert [ratio for _, ratio in report.residual_checks] == [0.0] * 20
+
     def test_report_is_bitwise_reproducible(self):
         base = Point2(0.7, -0.2)
         cfg = default_cfg(base)
@@ -316,7 +327,14 @@ class TestTrajectorySteps:
            st.floats(min_value=0.0, max_value=math.tau), st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
     def test_steps_match_the_public_api_bit_for_bit(self, kind, bx, by, phi, seed):
-        f = lambda x, y: math.sin(3.0 * x) * math.cos(y) + math.exp(x - 2.0 * y)
+        smooth = lambda x, y: math.sin(3.0 * x) * math.cos(y) + math.exp(x - 2.0 * y)
+        # Scaled by 1e-300, every z-difference is below 2^-960, so the solve
+        # takes its 2^1000 scaling branch.
+        for f in (smooth, lambda x, y: 1e-300 * smooth(x, y)):
+            self.check_steps(f, kind, bx, by, phi, seed)
+
+    @staticmethod
+    def check_steps(f, kind, bx, by, phi, seed):
         base = Point2(bx, by)
         if kind is SequenceKind.RADIAL_ORTHOGONAL:
             spec = radial(base, math.cos(phi), math.sin(phi))
@@ -343,6 +361,49 @@ class TestTrajectorySteps:
         # Tuples of floats compare with ==, so -0.0 and 0.0 would pass as equal;
         # repr tells them apart.
         assert repr(got) == repr(expected)
+
+
+class TestTraceContract:
+    """The benchmark's tracer (``bench/tracing.py``) times the probe's layers
+    by replacing the module globals ``generate`` and ``secant_coefficients`` of
+    ``secantplane.probe`` with wrappers, and its self-test needs both on the
+    path of every probe. A single-pass step that stopped calling
+    ``secant_coefficients`` was once reverted because the self-test's traced
+    cli-mix check then crashed (CHANGES.md, "One secant plane per probe step:
+    not landed"); this test fails first, with a reason.
+    """
+
+    @pytest.mark.parametrize("f,cfg,converged", [
+        (SQUARE, default_cfg(ORIGIN), 3),
+        (lambda x, y: abs(x) - abs(y), default_cfg(ORIGIN), 2),
+        (lambda x, y: math.sqrt(abs(x)), default_cfg(ORIGIN), 0),
+        (SQUARE, ProbeConfig(sequence_specs=(SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB),
+                                             SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC))), 0),
+    ], ids=["smooth", "kink", "cusp", "collapsing"])
+    def test_probe_calls_the_traced_globals(self, monkeypatch, f, cfg, converged):
+        module = sys.modules["secantplane.probe"]
+        calls = {"generate": 0, "secant_coefficients": 0}
+
+        def counting(name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name))
+        report = probe(f, ORIGIN, cfg)
+        # One generate per step, plus the one that raised RadiusUnderflow.
+        assert calls["generate"] == sum(len(t.steps) + t.radius_exhausted
+                                        for t in report.trajectories), \
+            "probe must call generate through secantplane.probe's global once per step"
+        # One secant_coefficients per converged trajectory: the plane of its limit.
+        assert sum(t.converged for t in report.trajectories) == converged
+        assert calls["secant_coefficients"] == converged, \
+            "probe must call secant_coefficients through secantplane.probe's global " \
+            "once per converged trajectory"
 
 
 class TestGradientCoherence:
