@@ -265,13 +265,18 @@ def _evaluate(e: Expr, p: Point2) -> float:
     return _finite(value, e, p)
 
 
-def _compile(e: Expr) -> ScalarField:
-    """One closure per node doing what :func:`evaluate` does at that node.
+# The operations that can turn an infinity or NaN operand into a finite
+# result: 1/inf, 2^-inf, inf^0, 1^nan and exp(-inf). Every other operation
+# passes inf and NaN on to its result, or raises.
+_MAY_HIDE_NON_FINITE = {"/", "^", "exp"}
 
-    A node whose own operation raises, or gives a non-finite result, returns
-    the evaluation of itself at the point instead: that raises the reference
-    error, so every message is defined once, in :func:`evaluate`. Errors of
-    child nodes propagate unchanged.
+
+def _compile(e: Expr) -> ScalarField:
+    """One closure per node doing the operation :func:`evaluate` does there.
+
+    The closures check nothing. An operation in ``_MAY_HIDE_NON_FINITE``
+    gives NaN for an operand that is not finite, so a node that
+    :func:`evaluate` rejects makes the whole result non-finite, or raises.
     """
     if isinstance(e, Num):
         value = e.value
@@ -286,36 +291,32 @@ def _compile(e: Expr) -> ScalarField:
         return lambda x, y: -operand(x, y)
     if isinstance(e, BinOp):
         op, left_of, right_of = _BINOPS[e.op], _compile(e.left), _compile(e.right)
+        if e.op not in _MAY_HIDE_NON_FINITE:
+            return lambda x, y: op(left_of(x, y), right_of(x, y))
 
-        def binop(x, y):
-            left = left_of(x, y)
-            right = right_of(x, y)
-            try:
-                value = op(left, right)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                value = math.nan
-            return value if isfinite(value) else _evaluate(e, Point2(x, y))
-        return binop
+        def guarded_binop(x, y):
+            left, right = left_of(x, y), right_of(x, y)
+            return op(left, right) if isfinite(left) and isfinite(right) else math.nan
+        return guarded_binop
     # Call
     func, arg_of = FUNCTIONS[e.func], _compile(e.arg)
+    if e.func not in _MAY_HIDE_NON_FINITE:
+        return lambda x, y: func(arg_of(x, y))
 
-    def call(x, y):
+    def guarded_call(x, y):
         arg = arg_of(x, y)
-        try:
-            value = func(arg)
-        except (ValueError, OverflowError):
-            value = math.nan
-        return value if isfinite(value) else _evaluate(e, Point2(x, y))
-    return call
+        return func(arg) if isfinite(arg) else math.nan
+    return guarded_call
 
 
 def as_function(e: Expr) -> ScalarField:
     """Compile a tree into a plain ``f(x, y) -> float`` callable.
 
-    The tree is compiled once into nested closures that do what
-    :func:`evaluate` does, node for node: the same operations in the same
-    order and the same domain checks. A failing node raises through
-    :func:`evaluate`, so the errors are the same too.
+    The tree is compiled once into nested closures that do the operations of
+    :func:`evaluate` in the same order, so every value is the same. The
+    callable checks the result once: where an operation raised or the result
+    is not finite, it returns :func:`evaluate` at the point, which raises the
+    reference error of the first failing node.
 
     Compiling and evaluating recurse once per level of the tree, so a tree
     too deep for the interpreter's recursion limit raises
@@ -323,16 +324,15 @@ def as_function(e: Expr) -> ScalarField:
     """
     run = _within_depth(_TOO_DEEP_TO_EVALUATE, _compile, e)
 
-    # The guard is written out here rather than taken from _within_depth: f
-    # runs once per function evaluation, and the extra call costs about 0.1 us
-    # there, a tenth to a fifth of a small expression's evaluation (CPython 3.11).
     def f(x, y):
         if not (isfinite(x) and isfinite(y)):
             Point2(x, y)   # raises for the first non-finite coordinate
         try:
-            return run(x, y)
-        except RecursionError:
-            raise _TOO_DEEP_TO_EVALUATE() from None
+            value = run(x, y)
+        except (ArithmeticError, ValueError, RecursionError):
+            value = math.nan
+        # Outside the handler, so the error raised has no __context__.
+        return value if isfinite(value) else evaluate(e, Point2(x, y))
     return f
 
 

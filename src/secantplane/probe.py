@@ -42,7 +42,6 @@ from .geometry import (
     _det_normalized,
     _solve,
     field_value,
-    residual_ratio,
     secant_coefficients,
 )
 from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, _integer, generate
@@ -288,13 +287,12 @@ def probe(f: ScalarField, base: Point2, cfg: ProbeConfig) -> ProbeReport:
     elif max_disagreement <= AGREE_TOL:
         verdict = Verdict.CONSISTENT_WITH_DIFFERENTIABLE
         estimate = (_mean([l[0] for l in limits]), _mean([l[1] for l in limits]))
-        plane = PlaneCoeffs(base.x, base.y, converged[0].limit.z0, *estimate)
-        checks = []
-        for step in converged[0].steps:
-            r = step.radius
-            z_delta = field_value(f_once, Point2(base.x + r, base.y)) - plane.z0
-            checks.append((r, residual_ratio(z_delta, plane, Vec2(r, 0.0))))
-        residual_checks = tuple(checks)
+        # residual_ratio along (r, 0): its beta*0.0 term and hypot(r, 0.0) = r
+        # drop out exactly.
+        z0, alpha = converged[0].limit.z0, estimate[0]
+        residual_checks = tuple(
+            (r, abs(field_value(f_once, Point2(base.x + r, base.y)) - z0 - alpha * r) / r)
+            for r in (step.radius for step in converged[0].steps))
     else:
         verdict = Verdict.CONTRADICTED
 

@@ -32,6 +32,8 @@ from secantplane.cli import _parse_seq_entry, main
 from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse, to_source
 
 LOG_PLUS_RECIPROCAL = as_function(parse("log(x)+1/y"))
+# A constant expression never reads its inputs, so the call checks them itself.
+TWO = as_function(parse("2"))
 
 
 def assert_raises_exactly(call, cls, message):
@@ -43,12 +45,13 @@ def assert_raises_exactly(call, cls, message):
     return exc
 
 
-@pytest.mark.parametrize("x,y,message", [
-    (math.inf, 1.0, "x must be finite, got inf"),
-    (1.0, math.nan, "y must be finite, got nan"),
-])
-def test_compiled_expression_rejects_non_finite_input(x, y, message):
-    assert_raises_exactly(lambda: LOG_PLUS_RECIPROCAL(x, y), ValueError, message)
+@pytest.mark.parametrize("f,x,y,message", [
+    (LOG_PLUS_RECIPROCAL, math.inf, 1.0, "x must be finite, got inf"),
+    (LOG_PLUS_RECIPROCAL, 1.0, math.nan, "y must be finite, got nan"),
+    (TWO, math.inf, 1.0, "x must be finite, got inf"),
+], ids=["log-x-inf", "log-y-nan", "constant-x-inf"])
+def test_compiled_expression_rejects_non_finite_input(f, x, y, message):
+    assert_raises_exactly(lambda: f(x, y), ValueError, message)
 
 
 def test_compiled_expression_domain_error():
@@ -58,9 +61,13 @@ def test_compiled_expression_domain_error():
     assert exc.point == Point2(-1.0, 1.0)
 
 
-# An infinity inside the expression would vanish into a finite result
-# (1/inf = 0, exp(-inf) = 0, 2^-inf = 0): it is reported at the node that made it.
-@pytest.mark.parametrize("source", ["1/(1e308*10)", "exp(-(1e308*10))", "2^(0-1e308*10)"])
+# An infinity or NaN inside the expression would vanish into a finite result
+# (1/inf = 0, exp(-inf) = 0, 2^-inf = 0, inf^0 = 1, 1^nan = 1), also below
+# another node: it is reported at the node that made it.
+@pytest.mark.parametrize("source", [
+    "1/(1e308*10)", "exp(-(1e308*10))", "2^(0-1e308*10)",
+    "(1e308*10)^0", "1^((1e308*10)-(1e308*10))", "x*exp(-(1e308*10))",
+])
 def test_overflow_inside_an_expression_is_reported_at_its_node(source):
     tree = parse(source)
     message = "non-finite result inf at (0.0, 0.0)"
@@ -93,8 +100,9 @@ def test_compiled_expression_called_too_deep_to_evaluate():
         return f(1.0, 0.0) if levels == 0 else call_deeper(levels - 1)
 
     levels = sys.getrecursionlimit() - frames_in_use() - 200
-    assert_raises_exactly(lambda: call_deeper(levels), EvaluationError,
-                          "expression nested too deeply to evaluate")
+    exc = assert_raises_exactly(lambda: call_deeper(levels), EvaluationError,
+                                "expression nested too deeply to evaluate")
+    assert exc.__suppress_context__   # one error line, not the RecursionError as well
 
 
 # The parser builds a long sum without recursing, but walking the tree it
