@@ -56,8 +56,8 @@ from .probe import (
     probe,
     random_spec_floor,
 )
-from .sequences import (INITIAL_RADIUS, ORIGIN, RADIUS_DECAY, SequenceKind, SequenceSpec,
-                        counterexample_points)
+from .sequences import (COMPANION_SCALES, INITIAL_RADIUS, ORIGIN, RADIUS_DECAY, SequenceKind,
+                        SequenceSpec, counterexample_points)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,6 +86,12 @@ def _parse_point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+#: Each collapsing-angle pairing by its name, the suffix of its kind's value.
+_PAIRINGS = {kind.value.rpartition("-")[2]: kind for kind in COMPANION_SCALES}
+#: The parameters of a 'random' entry: each one's conversion and what it needs.
+_RANDOM_PARAMETERS = {"seed": (int, "an integer"), "floor": (float, "a number")}
+
+
 def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSpec:
     kind, _, args = entry.strip().partition(":")
     kind = kind.strip()
@@ -100,30 +106,27 @@ def _parse_seq_entry(entry: str, base: Point2, angle_floor: float) -> SequenceSp
         return SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL, base=base,
                             direction=Vec2(*_unit(d.dx, d.dy)))
     if kind == "random":
-        seed = 0
-        floor = random_spec_floor(angle_floor)
+        given = {}
         for item in filter(None, (s.strip() for s in args.split(","))):
             key, _, value = item.partition("=")
-            if key not in ("seed", "floor"):
+            if key not in _RANDOM_PARAMETERS:
                 raise InvalidSpec(f"unknown random parameter {key!r} in {entry!r}")
+            if key in given:
+                raise InvalidSpec(f"random parameter {key!r} given twice in {entry!r}")
+            convert, needs = _RANDOM_PARAMETERS[key]
             try:
-                if key == "seed":
-                    seed = int(value)
-                else:
-                    floor = float(value)
+                given[key] = convert(value)
             except ValueError:
-                raise InvalidSpec(f"random parameter {key!r} needs "
-                                  f"{'an integer' if key == 'seed' else 'a number'}, "
+                raise InvalidSpec(f"random parameter {key!r} needs {needs}, "
                                   f"got {value!r} in {entry!r}") from None
-        return SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=base,
-                            angle_floor=floor, seed=seed)
+        return SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR, base=base, seed=given.get("seed", 0),
+                            angle_floor=given.get("floor", random_spec_floor(angle_floor)))
     if kind == "counterexample":
-        pairing = args.strip().lower()
-        if pairing == "ab":
-            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AB, base=base)
-        if pairing == "ac":
-            return SequenceSpec(SequenceKind.COUNTEREXAMPLE_AC, base=base)
-        raise InvalidSpec(f"counterexample entry needs ':ab' or ':ac', got {entry!r}")
+        pairing = _PAIRINGS.get(args.strip().lower())
+        if pairing is None:
+            names = " or ".join(repr(":" + name) for name in _PAIRINGS)
+            raise InvalidSpec(f"counterexample entry needs {names}, got {entry!r}")
+        return SequenceSpec(pairing, base=base)
     raise InvalidSpec(f"unknown sequence kind {kind!r} in {entry!r}")
 
 
@@ -329,21 +332,19 @@ def _counterexample_rows(kmax: int) -> list[tuple]:
     f = lambda x, y: x * x + y * y
     rows = []
     for k in range(1, kmax + 1):
-        a, b, c = counterexample_points(k)
+        a, *companions = counterexample_points(k)
         cos_k = math.cos(1.0 / k)
-        for pairing, companion, beta_target in (("ab", b, 2.0 - cos_k),
-                                                ("ac", c, 3.0 - cos_k)):
+        for pairing, scale, companion in zip(_PAIRINGS, COMPANION_SCALES.values(), companions):
             coeffs = secant_coefficients(sample_function(f, ORIGIN, a, companion))
             rows.append((pairing, k, coeffs.alpha, coeffs.beta,
-                         coeffs.alpha - a.x, coeffs.beta - beta_target))
+                         coeffs.alpha - a.x, coeffs.beta - (scale - cos_k)))
     return rows
 
 
-_CE_SUMMARY = (
-    ("ab-limit", 0.0, 1.0),
-    ("ac-limit", 0.0, 2.0),
-    ("tangent", 0.0, 0.0),
-)
+# Each pairing's limit plane z = (scale - 1) y, then the tangent plane z = 0.
+_CE_SUMMARY = (*((f"{pairing}-limit", 0.0, scale - 1.0)
+                 for pairing, scale in zip(_PAIRINGS, COMPANION_SCALES.values())),
+               ("tangent", 0.0, 0.0))
 
 
 def _counterexample_json(rows: list[tuple]) -> str:

@@ -230,10 +230,12 @@ def evaluate(e: Expr, p: Point2) -> float:
     """Evaluate the tree at a point with strict binary64 semantics.
 
     Raises:
-        EvaluationError: at a failing node (see the module docstring), or
-            for a tree nested too deeply for the interpreter's recursion.
+        EvaluationError: at a failing node (see the module docstring), at the
+            root for a non-finite value that no operation made (a ``Num``
+            that ``parse`` never builds), or for a tree nested too deeply for
+            the interpreter's recursion.
     """
-    return _within_depth(_TOO_DEEP_TO_EVALUATE, _evaluate, e, p)
+    return _finite(_within_depth(_TOO_DEEP_TO_EVALUATE, _evaluate, e, p), e, p)
 
 
 def _evaluate(e: Expr, p: Point2) -> float:

@@ -55,9 +55,6 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
 
-    def dot(self, other: "Vec2") -> float:
-        return self.dx * other.dx + self.dy * other.dy
-
     def is_zero(self) -> bool:
         return self.dx == 0.0 and self.dy == 0.0
 
@@ -75,9 +72,6 @@ class Point2:
 
     def __sub__(self, other: "Point2") -> Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def translate(self, v: Vec2) -> "Point2":
-        return Point2(self.x + v.dx, self.y + v.dy)
 
 
 @dataclass(frozen=True)

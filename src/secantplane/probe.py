@@ -135,7 +135,11 @@ class ProbeReport:
 
 def random_spec_floor(angle_floor: float) -> float:
     """The floor of a random spec that sets none: keeping its conditioning
-    1/sin(theta) near 1 keeps its limit error near the radial trajectories'."""
+    1/sin(theta) near 1 keeps its limit error near the radial trajectories'.
+
+    Applied by :func:`default_sequence_specs` and the CLI's ``--seqs`` only; a
+    ``SequenceSpec(RANDOM_ANGLE_FLOOR)`` built without ``angle_floor`` keeps
+    that field's default, 0.5."""
     return max(0.7, angle_floor)
 
 

@@ -63,8 +63,11 @@ class SequenceKind(Enum):
     RANDOM_ANGLE_FLOOR = "random"
 
 
+#: The collapsing-angle kinds and the scale of each one's companion: 2 for
+#: B_k = 2 sin(1/k) (cos(1/k), sin(1/k)), and 3 for C_k = 1.5 B_k.
+COMPANION_SCALES = {SequenceKind.COUNTEREXAMPLE_AB: 2.0, SequenceKind.COUNTEREXAMPLE_AC: 3.0}
 #: The collapsing-angle kinds: pinned to the origin, exempt from the probe's floor.
-FLOOR_EXEMPT_KINDS = (SequenceKind.COUNTEREXAMPLE_AB, SequenceKind.COUNTEREXAMPLE_AC)
+FLOOR_EXEMPT_KINDS = tuple(COMPANION_SCALES)
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,11 @@ class SequenceSpec:
     ``angle_floor`` and ``seed`` are used by RANDOM_ANGLE_FLOOR. ``seed`` must
     be an integer (``True`` is stored as 1), so equal specs draw equal
     streams. Both kinds step at the radii of :data:`INITIAL_RADIUS` and
-    :data:`RADIUS_DECAY`.
+    :data:`RADIUS_DECAY`. A random spec built without ``angle_floor`` keeps
+    0.5: only ``probe.default_sequence_specs`` and the CLI's ``--seqs``
+    apply ``probe.random_spec_floor``.
     The counterexample kinds are pinned to the origin; their radii are
-    sin(1/k) and 2 sin(1/k) by construction.
+    sin(1/k) and its :data:`COMPANION_SCALES` multiple by construction.
     """
 
     kind: SequenceKind
@@ -113,11 +118,12 @@ def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
     if k < 1:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
     s, c = math.sin(1.0 / k), math.cos(1.0 / k)
-    return Point2(s, 0.0), _companion(2.0, s, c), _companion(3.0, s, c)
+    return (Point2(s, 0.0), *(_companion(scale, s, c) for scale in COMPANION_SCALES.values()))
 
 
 def _companion(scale: float, s: float, c: float) -> Point2:
-    """B_k for ``scale`` 2 and C_k for 3, from s = sin(1/k) and c = cos(1/k)."""
+    """The companion of :data:`COMPANION_SCALES` ``scale``, from s = sin(1/k)
+    and c = cos(1/k)."""
     return Point2(scale * s * c, scale * s * s)
 
 
@@ -140,8 +146,7 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
         if s < MIN_RADIUS:
             raise RadiusUnderflow(
                 f"counterexample radius sin(1/{k}) is below {MIN_RADIUS:g}")
-        scale = 2.0 if spec.kind is SequenceKind.COUNTEREXAMPLE_AB else 3.0
-        return Point2(s, 0.0), _companion(scale, s, math.cos(1.0 / k))
+        return Point2(s, 0.0), _companion(COMPANION_SCALES[spec.kind], s, math.cos(1.0 / k))
 
     radius = INITIAL_RADIUS * RADIUS_DECAY ** (k - 1)
     if radius < MIN_RADIUS:

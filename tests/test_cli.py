@@ -151,6 +151,13 @@ class TestProbe:
                              "--seqs", "counterexample:ab;counterexample:ac")
         assert code == 4
 
+    def test_pairing_names_match_in_any_case(self, capsys):
+        argv = ["probe", "--function", "x^2+y^2", "--point", "0,0", "--format", "json",
+                "--seqs"]
+        lower = run_cli(capsys, *argv, "counterexample:ab;counterexample:ac")
+        assert run_cli(capsys, *argv, "counterexample:AB;counterexample:Ac") == lower
+        assert lower[0] == 5
+
     def test_repeated_seqs_flags(self, capsys):
         code, out, _ = run_cli(capsys, "probe", "--function", "x^2+y^2",
                                "--point", "0,0", "--seqs", "radial:1,0",
@@ -291,6 +298,25 @@ class TestCounterexample:
         code, _, _ = run_cli(capsys, "counterexample", "--kmax", "0")
         assert code == 2
 
+    def test_rows_match_the_probe_steps_of_the_collapsing_pairings(self, capsys):
+        # The report and a probe of x^2+y^2 along both pairings reach the
+        # paper's counterexample by different routes; each step must agree
+        # bit for bit.
+        code, out, _ = run_cli(capsys, "counterexample", "--kmax", "12", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        code, out, _ = run_cli(capsys, "probe", "--function", "x^2+y^2", "--point", "0,0",
+                               "--seqs", "counterexample:ab;counterexample:ac",
+                               "--steps", "12", "--format", "json")
+        assert code == 5
+        trajectories = {t["kind"]: t["steps"] for t in json.loads(out)["trajectories"]}
+        assert len(rows) == 24
+        for row in rows:
+            step = trajectories["counterexample-" + row["pairing"]][row["k"] - 1]
+            assert step["k"] == row["k"]
+            for key in ("alpha", "beta"):
+                assert float.hex(step[key]) == float.hex(row[key]), (row, key)
+
 
 MISSING_DIR = "{tmp}/missing/report.json"
 
@@ -333,6 +359,10 @@ ERROR_ROUTES = {
     "probe-random-unknown-parameter": (
         ["probe", "--function", "x", "--point", "0,0", "--seqs", "random:foo=1"],
         2, "error: unknown random parameter 'foo' in 'random:foo=1'"),
+    "probe-random-parameter-twice": (
+        ["probe", "--function", "x", "--point", "0,0",
+         "--seqs", "random:seed=1,seed=2;radial:0,1"],
+        2, "error: random parameter 'seed' given twice in 'random:seed=1,seed=2'"),
     "probe-counterexample-bad-pairing": (
         ["probe", "--function", "x", "--point", "0,0", "--seqs", "counterexample:xy"],
         2, "error: counterexample entry needs ':ab' or ':ac', got 'counterexample:xy'"),

@@ -29,7 +29,8 @@ from secantplane import (
     secant_coefficients,
 )
 from secantplane.cli import _parse_seq_entry, main
-from secantplane.expr import BinOp, Call, Num, Var, as_function, evaluate, parse, to_source
+from secantplane.expr import (BinOp, Call, Neg, Num, Var, as_function, evaluate, parse,
+                              to_source)
 
 LOG_PLUS_RECIPROCAL = as_function(parse("log(x)+1/y"))
 # A constant expression never reads its inputs, so the call checks them itself.
@@ -76,6 +77,20 @@ def test_overflow_inside_an_expression_is_reported_at_its_node(source):
         assert exc.node == BinOp("*", Num(1e308), Num(10.0))
         assert exc.point == Point2(0.0, 0.0)
         assert exc.__context__ is None
+
+
+# parse never builds a non-finite Num, but a tree built by hand may hold one:
+# no operation makes the value, so it is reported at the root.
+@pytest.mark.parametrize("tree,message", [
+    (Num(math.inf), "non-finite result inf at (1.0, 2.0)"),
+    (Num(math.nan), "non-finite result nan at (1.0, 2.0)"),
+    (Neg(Num(math.inf)), "non-finite result -inf at (1.0, 2.0)"),
+], ids=["inf", "nan", "negated-inf"])
+def test_non_finite_value_at_the_root_is_reported(tree, message):
+    for f in (as_function(tree), lambda x, y: evaluate(tree, Point2(x, y))):
+        exc = assert_raises_exactly(lambda: f(1.0, 2.0), EvaluationError, message)
+        assert exc.node == tree
+        assert exc.point == Point2(1.0, 2.0)
 
 
 def test_compiled_expression_division_by_zero():

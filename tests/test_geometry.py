@@ -34,8 +34,9 @@ def polar_vec(radius, angle):
 
 
 def make_sample(base, ra, pa, rb, pb, z0, za, zb):
-    a = base.translate(polar_vec(ra, pa))
-    b = base.translate(polar_vec(rb, pb))
+    u, v = polar_vec(ra, pa), polar_vec(rb, pb)
+    a = Point2(base.x + u.dx, base.y + u.dy)
+    b = Point2(base.x + v.dx, base.y + v.dy)
     return SecantSample(base, a, b, z0, za, zb)
 
 
@@ -97,7 +98,7 @@ class TestAngleBetween:
         # identity is asserted on the non-degenerate range.
         assume(bq.sin_theta >= 1e-3)
         nu, nv = u.norm(), v.norm()
-        cos_theta = min(1.0, max(-1.0, u.dot(v) / (nu * nv)))
+        cos_theta = min(1.0, max(-1.0, (u.dx * v.dx + u.dy * v.dy) / (nu * nv)))
         assert abs(bq.sin_theta - math.sin(math.acos(cos_theta))) <= 1e-12
 
 
@@ -190,8 +191,9 @@ class TestSecantCoefficients:
     def test_affine_recovery(self, fa, fb, fc, bx, by, ra, rb, pa, pb):
         base = Point2(bx % 2.0 - 1.0, by % 2.0 - 1.0)
         f = lambda x, y: fa * x + fb * y + fc
-        a = base.translate(polar_vec(ra, pa))
-        b = base.translate(polar_vec(rb, pb))
+        u, v = polar_vec(ra, pa), polar_vec(rb, pb)
+        a = Point2(base.x + u.dx, base.y + u.dy)
+        b = Point2(base.x + v.dx, base.y + v.dy)
         assume(angle_between(a - base, b - base).sin_theta >= 0.01)
         coeffs = secant_coefficients(sample_function(f, base, a, b))
         assert abs(coeffs.alpha - fa) <= 1e-9 * max(1.0, abs(fa))
@@ -293,7 +295,7 @@ class TestOrthogonalCompanion:
         a = Point2(ax, ay)
         b = orthogonal_companion(base, a)
         u, v = a - base, b - base
-        assert u.dot(v) == 0.0
+        assert u.dx * v.dx + u.dy * v.dy == 0.0
         assert u.norm() == v.norm()
         assert angle_between(u, v).theta == math.pi / 2
 
