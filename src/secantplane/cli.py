@@ -414,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                           f"{2 * TAIL_WINDOW}; radial and random specs stop at step 20 "
                           "(1e-7 radius), so more steps only lengthen counterexample specs")
     prb.add_argument("--seqs", action="append", default=None, metavar="SPEC",
-                     help="sequence specs, ';'-separated or repeated: "
-                          "'radial:DX,DY', 'random:seed=N,floor=P', "
-                          "'counterexample:ab', 'counterexample:ac' "
-                          "(default: two orthogonal radial + one random)")
+                     help="sequence specs, ';'-separated or repeated: 'radial:DX,DY', "
+                          "'random:seed=N,floor=P', "
+                          + ", ".join(f"'counterexample:{name}'" for name in _PAIRINGS)
+                          + " (default: two orthogonal radial + one random)")
     prb.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     ce.add_argument("--kmax", type=int, default=10, help="largest step index")

@@ -19,6 +19,12 @@ Evaluation is strict binary64: out-of-domain operations (log of non-positive,
 sqrt of negative, division by exact zero) and non-finite results raise
 :class:`EvaluationError` carrying the offending node and the input point,
 instead of letting NaN or infinity propagate.
+
+The nodes' fields are public, so a tree may also be built by hand. Every
+variable, constant, function and operator name is read from the module's
+tables (``CONSTANTS``, ``FUNCTIONS`` and two private ones), and a name that
+``parse`` never builds raises :class:`EvaluationError` at its node, from
+:func:`evaluate`, :func:`as_function` and :func:`to_source` alike.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .geometry import Point2, ScalarField
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
              "log": math.log, "sqrt": math.sqrt, "abs": abs}
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# Each variable's name and the coordinate of (x, y) it reads.
+_VARIABLES = {"x": lambda x, y: x, "y": lambda x, y: y}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": math.pow}
 # Binding strength, shared by the parser and the printer: levels 1 and 2 are
@@ -58,6 +66,17 @@ def _within_depth(too_deep: Callable[[], ValueError], walk, *args):
         return walk(*args)
     except RecursionError:
         raise too_deep() from None
+
+
+def _lookup(table: dict, key, node: Expr):
+    """``table[key]``: the variable, constant, function or operator that
+    ``node`` names. A key that ``parse`` never puts there raises
+    :class:`EvaluationError`, so a tree built by hand is checked too."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise EvaluationError(f"{type(node).__name__} {key!r} is not one of "
+                              f"{', '.join(table)}", node=node) from None
 
 
 @dataclass(frozen=True)
@@ -182,12 +201,9 @@ class _Parser:
             self.advance()
             return Num(float(text))
         if kind == "name":
-            if text in ("x", "y"):
+            if text in _VARIABLES or text in CONSTANTS:
                 self.advance()
-                return Var(text)
-            if text in CONSTANTS:
-                self.advance()
-                return Const(text)
+                return (Var if text in _VARIABLES else Const)(text)
             if text in FUNCTIONS:
                 self.advance()
                 if self.peek()[1] != "(":
@@ -230,10 +246,11 @@ def evaluate(e: Expr, p: Point2) -> float:
     """Evaluate the tree at a point with strict binary64 semantics.
 
     Raises:
-        EvaluationError: at a failing node (see the module docstring), at the
-            root for a non-finite value that no operation made (a ``Num``
-            that ``parse`` never builds), or for a tree nested too deeply for
-            the interpreter's recursion.
+        EvaluationError: at a failing node (see the module docstring), at a
+            node whose name ``parse`` never builds, at the root for a
+            non-finite value that no operation made (a ``Num`` that ``parse``
+            never builds), or for a tree nested too deeply for the
+            interpreter's recursion.
     """
     return _finite(_within_depth(_TOO_DEEP_TO_EVALUATE, _evaluate, e, p), e, p)
 
@@ -242,16 +259,18 @@ def _evaluate(e: Expr, p: Point2) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        return p.x if e.name == "x" else p.y
+        return _lookup(_VARIABLES, e.name, e)(p.x, p.y)
     if isinstance(e, Const):
-        return CONSTANTS[e.name]
+        return _lookup(CONSTANTS, e.name, e)
     if isinstance(e, Neg):
         return -_evaluate(e.operand, p)
     if isinstance(e, BinOp):
+        # Looked up before the try: an EvaluationError is a ValueError.
+        op = _lookup(_BINOPS, e.op, e)
         left = _evaluate(e.left, p)
         right = _evaluate(e.right, p)
         try:
-            value = _BINOPS[e.op](left, right)
+            value = op(left, right)
         except ZeroDivisionError:
             raise _domain_error("division by zero", e, p) from None
         except (ValueError, OverflowError):
@@ -259,9 +278,10 @@ def _evaluate(e: Expr, p: Point2) -> float:
             raise _domain_error(f"invalid power {left!r} ^ {right!r}", e, p) from None
         return _finite(value, e, p)
     # Call
+    func = _lookup(FUNCTIONS, e.func, e)
     arg = _evaluate(e.arg, p)
     try:
-        value = FUNCTIONS[e.func](arg)
+        value = func(arg)
     except (ValueError, OverflowError):
         raise _domain_error(f"{e.func} undefined for {arg!r}", e, p) from None
     return _finite(value, e, p)
@@ -284,15 +304,15 @@ def _compile(e: Expr) -> ScalarField:
         value = e.value
         return lambda x, y: value
     if isinstance(e, Var):
-        return (lambda x, y: x) if e.name == "x" else (lambda x, y: y)
+        return _lookup(_VARIABLES, e.name, e)
     if isinstance(e, Const):
-        value = CONSTANTS[e.name]
+        value = _lookup(CONSTANTS, e.name, e)
         return lambda x, y: value
     if isinstance(e, Neg):
         operand = _compile(e.operand)
         return lambda x, y: -operand(x, y)
     if isinstance(e, BinOp):
-        op, left_of, right_of = _BINOPS[e.op], _compile(e.left), _compile(e.right)
+        op, left_of, right_of = _lookup(_BINOPS, e.op, e), _compile(e.left), _compile(e.right)
         if e.op not in _MAY_HIDE_NON_FINITE:
             return lambda x, y: op(left_of(x, y), right_of(x, y))
 
@@ -301,7 +321,7 @@ def _compile(e: Expr) -> ScalarField:
             return op(left, right) if isfinite(left) and isfinite(right) else math.nan
         return guarded_binop
     # Call
-    func, arg_of = FUNCTIONS[e.func], _compile(e.arg)
+    func, arg_of = _lookup(FUNCTIONS, e.func, e), _compile(e.arg)
     if e.func not in _MAY_HIDE_NON_FINITE:
         return lambda x, y: func(arg_of(x, y))
 
@@ -320,8 +340,9 @@ def as_function(e: Expr) -> ScalarField:
     is not finite, it returns :func:`evaluate` at the point, which raises the
     reference error of the first failing node.
 
-    Compiling and evaluating recurse once per level of the tree, so a tree
-    too deep for the interpreter's recursion limit raises
+    A node whose name ``parse`` never builds raises :class:`EvaluationError`
+    here, before any call. Compiling and evaluating recurse once per level of
+    the tree, so a tree too deep for the interpreter's recursion limit raises
     :class:`EvaluationError`, here or from the returned callable.
     """
     run = _within_depth(_TOO_DEEP_TO_EVALUATE, _compile, e)
@@ -338,26 +359,36 @@ def as_function(e: Expr) -> ScalarField:
     return f
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return _ATOM_PREC
-
-
 def to_source(e: Expr) -> str:
     """Render a tree back to source that re-parses to an identical tree.
 
     That holds for every tree whose ``Num`` leaves ``parse`` can build:
     finite, and not negative or -0.0. A negative number is ``Neg(Num(...))``.
 
+    A child is put in parentheses exactly when it binds looser than its slot
+    allows, by the levels of ``_PREC`` (an atom binds at 5). The operand of
+    unary minus and the exponent of ``^`` allow unary minus and tighter; the
+    base of ``^`` allows only an atom; the left operand of ``+ - * /`` allows
+    the operator's own level and the right operand one level more, so that
+    the left-associative chains re-parse as they were built. A function's
+    argument is printed inside the call's own parentheses.
+
     Raises:
         EvaluationError: for any other ``Num``, which has no source form
-            (``-1.0^2.0`` would re-parse as ``-(1.0^2.0)``), or for a tree
-            nested too deeply for the interpreter's recursion.
+            (``-1.0^2.0`` would re-parse as ``-(1.0^2.0)``), for a node whose
+            name ``parse`` never builds, or for a tree nested too deeply for
+            the interpreter's recursion.
     """
     return _within_depth(_TOO_DEEP_TO_PRINT, _to_source, e)
+
+
+def _grouped(text: str, child: Expr, bound: int) -> str:
+    """``text``, the printed ``child``, in parentheses if ``child`` binds
+    looser than ``bound``. Its binding strength is found here, not by a
+    further call, so that printing goes no deeper than the tree's leaves."""
+    prec = (_PREC[child.op] if isinstance(child, BinOp)
+            else _PREC["neg"] if isinstance(child, Neg) else _ATOM_PREC)
+    return f"({text})" if prec < bound else text
 
 
 def _to_source(e: Expr) -> str:
@@ -368,26 +399,15 @@ def _to_source(e: Expr) -> str:
                 "and has no minus sign", node=e)
         return repr(e.value)
     if isinstance(e, (Var, Const)):
+        _lookup(_VARIABLES if isinstance(e, Var) else CONSTANTS, e.name, e)
         return e.name
     if isinstance(e, Neg):
-        inner = _to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _grouped(_to_source(e.operand), e.operand, _PREC["neg"])
     if isinstance(e, Call):
+        _lookup(FUNCTIONS, e.func, e)
         return f"{e.func}({_to_source(e.arg)})"
-    mine = _PREC[e.op]
-    left = _to_source(e.left)
-    right = _to_source(e.right)
-    if e.op == "^":
-        # left operand must be an atom; exponent re-parses at unary level
-        if _prec(e.left) <= mine:
-            left = f"({left})"
-        if _prec(e.right) < _PREC["neg"]:
-            right = f"({right})"
-    else:
-        if _prec(e.left) < mine:
-            left = f"({left})"
-        if _prec(e.right) <= mine:
-            right = f"({right})"
-    return f"{left}{e.op}{right}"
+    _lookup(_BINOPS, e.op, e)
+    # A base must be an atom, and an exponent re-parses at the level of unary minus.
+    left, right = (_ATOM_PREC, _PREC["neg"]) if e.op == "^" else (_PREC[e.op], _PREC[e.op] + 1)
+    return (_grouped(_to_source(e.left), e.left, left) + e.op
+            + _grouped(_to_source(e.right), e.right, right))

@@ -1,6 +1,8 @@
-"""Shared test fixtures: ulp tolerances and the smooth function battery."""
+"""Shared test fixtures: ulp tolerances, a stack-depth count and the smooth
+function battery."""
 
 import math
+import sys
 
 from secantplane import Point2
 
@@ -16,6 +18,14 @@ class RecordingField:
     def __call__(self, x, y):
         self.points.append((x.hex(), y.hex()))
         return self.f(x, y)
+
+
+def frames_in_use() -> int:
+    """The number of frames on the stack, this function's own included."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 def ulps(scale: float, count: float) -> float:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import secantplane
 from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig, SequenceKind,
                          Verdict, default_sequence_specs, probe)
-from secantplane.cli import _CE_SUMMARY, _csv, _g17, _json_block, build_parser, main
+from secantplane.cli import _CE_SUMMARY, _PAIRINGS, _csv, _g17, _json_block, build_parser, main
 from secantplane.expr import as_function, parse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -316,6 +316,20 @@ class TestCounterexample:
             assert step["k"] == row["k"]
             for key in ("alpha", "beta"):
                 assert float.hex(step[key]) == float.hex(row[key]), (row, key)
+
+    def test_table_footer_gives_each_pairing_its_summary_limit(self, capsys):
+        # The footer is written out by hand; it must name every pairing with
+        # the slope of z = beta*y that the JSON and CSV summary give it.
+        code, out, _ = run_cli(capsys, "counterexample", "--kmax", "1")
+        assert code == 0
+        footer = out.splitlines()[-1]
+        slopes = {name: (alpha, beta) for name, alpha, beta in _CE_SUMMARY}
+        for pairing in _PAIRINGS:
+            alpha, beta = slopes[f"{pairing}-limit"]
+            assert alpha == 0.0
+            assert f"{pairing} -> z = {'y' if beta == 1.0 else f'{beta:g}y'};" in footer
+        assert slopes["tangent"] == (0.0, 0.0)
+        assert footer.endswith("; tangent plane -> z = 0")
 
 
 MISSING_DIR = "{tmp}/missing/report.json"

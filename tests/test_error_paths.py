@@ -29,8 +29,9 @@ from secantplane import (
     secant_coefficients,
 )
 from secantplane.cli import _parse_seq_entry, main
-from secantplane.expr import (BinOp, Call, Neg, Num, Var, as_function, evaluate, parse,
-                              to_source)
+from secantplane.expr import (BinOp, Call, Const, Neg, Num, Var, as_function, evaluate,
+                              parse, to_source)
+from helpers import frames_in_use
 
 LOG_PLUS_RECIPROCAL = as_function(parse("log(x)+1/y"))
 # A constant expression never reads its inputs, so the call checks them itself.
@@ -93,6 +94,29 @@ def test_non_finite_value_at_the_root_is_reported(tree, message):
         assert exc.point == Point2(1.0, 2.0)
 
 
+# parse builds only the names in expr's tables, but a tree built by hand may
+# name anything: each route reports such a name at its node, also below a
+# valid node, and the compile step rejects it before any call.
+@pytest.mark.parametrize("bad,message", [
+    (Var("z"), "Var 'z' is not one of x, y"),
+    (Var("pi"), "Var 'pi' is not one of x, y"),
+    (Const("tau"), "Const 'tau' is not one of pi, e"),
+    (Call("foo", Var("x")), "Call 'foo' is not one of sin, cos, tan, exp, log, sqrt, abs"),
+    (BinOp("%", Var("x"), Var("y")), "BinOp '%' is not one of +, -, *, /, ^"),
+    (Var(["x"]), "Var ['x'] is not one of x, y"),
+], ids=["var-z", "var-pi", "const-tau", "call-foo", "binop-percent", "var-unhashable"])
+@pytest.mark.parametrize("route", [
+    lambda tree: evaluate(tree, Point2(1.0, 2.0)),
+    as_function,
+    to_source,
+], ids=["evaluate", "as_function", "to_source"])
+def test_name_that_parse_never_builds_is_reported_at_its_node(bad, message, route):
+    for tree in (bad, BinOp("+", Var("x"), bad)):
+        exc = assert_raises_exactly(lambda: route(tree), EvaluationError, message)
+        assert exc.node is bad
+        assert exc.__suppress_context__   # one error, not the KeyError as well
+
+
 def test_compiled_expression_division_by_zero():
     exc = assert_raises_exactly(lambda: LOG_PLUS_RECIPROCAL(1.0, 0.0), EvaluationError,
                                 "division by zero at (1.0, 0.0)")
@@ -104,12 +128,6 @@ def test_compiled_expression_called_too_deep_to_evaluate():
     # The tree compiles, but the call leaves too few frames to evaluate it.
     f = as_function(parse("+".join(["x"] * 400)))
     assert f(1.0, 0.0) == 400.0
-
-    def frames_in_use():
-        frame, n = sys._getframe(), 0
-        while frame is not None:
-            frame, n = frame.f_back, n + 1
-        return n
 
     def call_deeper(levels):
         return f(1.0, 0.0) if levels == 0 else call_deeper(levels - 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -18,6 +19,7 @@ from secantplane.expr import (
     parse,
     to_source,
 )
+from helpers import frames_in_use
 
 mpmath.mp.dps = 50
 
@@ -243,6 +245,41 @@ _coords = st.one_of(
 @settings(max_examples=1000, deadline=None)
 def test_round_trip_print_then_parse(tree):
     assert parse(to_source(tree)) == tree
+
+
+def _grouping_pairs(text):
+    """The (open, close) offsets of each pair of parentheses in ``text`` that
+    groups, leaving out those opened right after a function name."""
+    pairs, opened = [], []
+    for i, char in enumerate(text):
+        if char == "(":
+            opened.append(i)
+        elif char == ")":
+            start = opened.pop()
+            if not (start and text[start - 1].isalpha()):
+                pairs.append((start, i))
+    return pairs
+
+
+# The round trip holds for a printer that groups every operand, so pin the
+# text too: each grouping pair is needed, and dropping it loses the tree.
+@given(_trees)
+@settings(max_examples=1000, deadline=None)
+def test_printer_adds_no_parentheses_that_are_not_needed(tree):
+    text = to_source(tree)
+    for start, end in _grouping_pairs(text):
+        stripped = text[:start] + text[start + 1:end] + text[end + 1:]
+        try:
+            assert parse(stripped) != tree, (text, stripped)
+        except ParseError:
+            pass
+
+
+def test_printer_prints_a_sum_as_deep_as_the_stack_allows():
+    # One frame per level of the tree: a printer that recursed through a
+    # helper would need twice as many and fail.
+    source = "+".join(["x"] * (sys.getrecursionlimit() - frames_in_use() - 10))
+    assert to_source(parse(source)) == source
 
 
 # Numbers parse never builds: negative, -0.0 and non-finite. A negative
