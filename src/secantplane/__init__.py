@@ -7,6 +7,9 @@ limit of secant planes meaningful, and probe functions for
 configurable point sequences.
 """
 
+from types import ModuleType as _ModuleType
+
+from . import expr
 from .errors import (
     DegenerateBasis,
     EvaluationError,
@@ -15,8 +18,6 @@ from .errors import (
     RadiusUnderflow,
     ZeroVector,
 )
-from .expr import as_function as expression_function
-from .expr import parse as parse_expression
 from .geometry import (
     DEFAULT_DEGENERACY_FLOOR,
     BasisQuality,
@@ -25,7 +26,6 @@ from .geometry import (
     SecantSample,
     Vec2,
     angle_between,
-    field_value,
     normalized_inverse_entry_bound,
     orthogonal_companion,
     plane_eval,
@@ -53,40 +53,6 @@ from .sequences import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisQuality",
-    "CoefficientTrajectory",
-    "DEFAULT_DEGENERACY_FLOOR",
-    "DegenerateBasis",
-    "EvaluationError",
-    "InvalidSpec",
-    "MIN_RADIUS",
-    "ParseError",
-    "PlaneCoeffs",
-    "Point2",
-    "ProbeConfig",
-    "ProbeReport",
-    "RadiusUnderflow",
-    "SecantSample",
-    "SequenceKind",
-    "SequenceSpec",
-    "TrajectoryStep",
-    "Vec2",
-    "Verdict",
-    "ZeroVector",
-    "angle_between",
-    "counterexample_points",
-    "default_sequence_specs",
-    "expression_function",
-    "field_value",
-    "generate",
-    "normalized_inverse_entry_bound",
-    "orthogonal_companion",
-    "parse_expression",
-    "plane_eval",
-    "probe",
-    "residual_ratio",
-    "run_trajectory",
-    "sample_function",
-    "secant_coefficients",
-]
+# The public names bound above: the imported objects, not the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -457,7 +457,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return args.degenerate_exit if isinstance(exc, DegenerateBasis) else EXIT_USAGE
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

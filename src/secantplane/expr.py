@@ -22,9 +22,11 @@ instead of letting NaN or infinity propagate.
 
 The nodes' fields are public, so a tree may also be built by hand. Every
 variable, constant, function and operator name is read from the module's
-tables (``CONSTANTS``, ``FUNCTIONS`` and two private ones), and a name that
-``parse`` never builds raises :class:`EvaluationError` at its node, from
-:func:`evaluate`, :func:`as_function` and :func:`to_source` alike.
+tables (``CONSTANTS``, ``FUNCTIONS`` and two private ones). A malformed node
+raises :class:`EvaluationError` with ``node`` set to it, from
+:func:`evaluate`, :func:`as_function` and :func:`to_source` alike: a name
+that ``parse`` never builds, a ``Num`` whose value is not a ``float`` (an
+``int``, a ``bool`` or a ``str`` included), or a value that is not a node.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ def _lookup(table: dict, key, node: Expr):
     except (KeyError, TypeError):
         raise EvaluationError(f"{type(node).__name__} {key!r} is not one of "
                               f"{', '.join(table)}", node=node) from None
+
+
+def _num_value(node: Num) -> float:
+    """The value of a ``Num``, which must be a float, as ``parse`` builds."""
+    if type(node.value) is not float:
+        raise EvaluationError(f"Num {node.value!r} is not a float", node=node)
+    return node.value
+
+
+def _not_a_node(value) -> EvaluationError:
+    """The error for ``value``, found where a walker expects a node."""
+    return EvaluationError(f"{type(value).__name__} is not an expression node", node=value)
 
 
 @dataclass(frozen=True)
@@ -209,7 +223,8 @@ class _Parser:
                 if self.peek()[1] != "(":
                     raise self.fail("'(' after function name")
                 return Call(text, self.atom())
-            raise self.fail("a variable (x, y), constant (pi, e), or function name")
+            raise self.fail(f"a variable ({', '.join(_VARIABLES)}), "
+                            f"constant ({', '.join(CONSTANTS)}), or function name")
         if text == "(":
             self.advance()
             node = self.chain()
@@ -246,18 +261,17 @@ def evaluate(e: Expr, p: Point2) -> float:
     """Evaluate the tree at a point with strict binary64 semantics.
 
     Raises:
-        EvaluationError: at a failing node (see the module docstring), at a
-            node whose name ``parse`` never builds, at the root for a
-            non-finite value that no operation made (a ``Num`` that ``parse``
-            never builds), or for a tree nested too deeply for the
-            interpreter's recursion.
+        EvaluationError: at a failing or malformed node (see the module
+            docstring), at the root for a non-finite value that no operation
+            made (a ``Num`` that ``parse`` never builds), or for a tree nested
+            too deeply for the interpreter's recursion.
     """
     return _finite(_within_depth(_TOO_DEEP_TO_EVALUATE, _evaluate, e, p), e, p)
 
 
 def _evaluate(e: Expr, p: Point2) -> float:
     if isinstance(e, Num):
-        return e.value
+        return _num_value(e)
     if isinstance(e, Var):
         return _lookup(_VARIABLES, e.name, e)(p.x, p.y)
     if isinstance(e, Const):
@@ -277,7 +291,8 @@ def _evaluate(e: Expr, p: Point2) -> float:
             # Only math.pow raises these; float +, -, * and / overflow to inf.
             raise _domain_error(f"invalid power {left!r} ^ {right!r}", e, p) from None
         return _finite(value, e, p)
-    # Call
+    if not isinstance(e, Call):
+        raise _not_a_node(e)
     func = _lookup(FUNCTIONS, e.func, e)
     arg = _evaluate(e.arg, p)
     try:
@@ -300,14 +315,11 @@ def _compile(e: Expr) -> ScalarField:
     gives NaN for an operand that is not finite, so a node that
     :func:`evaluate` rejects makes the whole result non-finite, or raises.
     """
-    if isinstance(e, Num):
-        value = e.value
+    if isinstance(e, (Num, Const)):
+        value = _num_value(e) if isinstance(e, Num) else _lookup(CONSTANTS, e.name, e)
         return lambda x, y: value
     if isinstance(e, Var):
         return _lookup(_VARIABLES, e.name, e)
-    if isinstance(e, Const):
-        value = _lookup(CONSTANTS, e.name, e)
-        return lambda x, y: value
     if isinstance(e, Neg):
         operand = _compile(e.operand)
         return lambda x, y: -operand(x, y)
@@ -320,7 +332,8 @@ def _compile(e: Expr) -> ScalarField:
             left, right = left_of(x, y), right_of(x, y)
             return op(left, right) if isfinite(left) and isfinite(right) else math.nan
         return guarded_binop
-    # Call
+    if not isinstance(e, Call):
+        raise _not_a_node(e)
     func, arg_of = _lookup(FUNCTIONS, e.func, e), _compile(e.arg)
     if e.func not in _MAY_HIDE_NON_FINITE:
         return lambda x, y: func(arg_of(x, y))
@@ -340,8 +353,8 @@ def as_function(e: Expr) -> ScalarField:
     is not finite, it returns :func:`evaluate` at the point, which raises the
     reference error of the first failing node.
 
-    A node whose name ``parse`` never builds raises :class:`EvaluationError`
-    here, before any call. Compiling and evaluating recurse once per level of
+    A malformed node (see the module docstring) raises
+    :class:`EvaluationError` here, before any call. Compiling and evaluating recurse once per level of
     the tree, so a tree too deep for the interpreter's recursion limit raises
     :class:`EvaluationError`, here or from the returned callable.
     """
@@ -375,9 +388,9 @@ def to_source(e: Expr) -> str:
 
     Raises:
         EvaluationError: for any other ``Num``, which has no source form
-            (``-1.0^2.0`` would re-parse as ``-(1.0^2.0)``), for a node whose
-            name ``parse`` never builds, or for a tree nested too deeply for
-            the interpreter's recursion.
+            (``-1.0^2.0`` would re-parse as ``-(1.0^2.0)``), for a malformed
+            node (see the module docstring), or for a tree nested too deeply
+            for the interpreter's recursion.
     """
     return _within_depth(_TOO_DEEP_TO_PRINT, _to_source, e)
 
@@ -393,11 +406,12 @@ def _grouped(text: str, child: Expr, bound: int) -> str:
 
 def _to_source(e: Expr) -> str:
     if isinstance(e, Num):
-        if not (isfinite(e.value) and math.copysign(1.0, e.value) > 0.0):
+        value = _num_value(e)
+        if not (isfinite(value) and math.copysign(1.0, value) > 0.0):
             raise EvaluationError(
-                f"cannot print the number {e.value!r}: a literal is finite "
+                f"cannot print the number {value!r}: a literal is finite "
                 "and has no minus sign", node=e)
-        return repr(e.value)
+        return repr(value)
     if isinstance(e, (Var, Const)):
         _lookup(_VARIABLES if isinstance(e, Var) else CONSTANTS, e.name, e)
         return e.name
@@ -406,6 +420,8 @@ def _to_source(e: Expr) -> str:
     if isinstance(e, Call):
         _lookup(FUNCTIONS, e.func, e)
         return f"{e.func}({_to_source(e.arg)})"
+    if not isinstance(e, BinOp):
+        raise _not_a_node(e)
     _lookup(_BINOPS, e.op, e)
     # A base must be an atom, and an exponent re-parses at the level of unary minus.
     left, right = (_ATOM_PREC, _PREC["neg"]) if e.op == "^" else (_PREC[e.op], _PREC[e.op] + 1)

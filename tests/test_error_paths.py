@@ -6,6 +6,7 @@ fail exactly where, and exactly as, the dataclass checks do.
 
 import math
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -94,9 +95,10 @@ def test_non_finite_value_at_the_root_is_reported(tree, message):
         assert exc.point == Point2(1.0, 2.0)
 
 
-# parse builds only the names in expr's tables, but a tree built by hand may
-# name anything: each route reports such a name at its node, also below a
-# valid node, and the compile step rejects it before any call.
+# parse builds only the names in expr's tables and only float numbers, but a
+# tree built by hand may hold anything: each route reports a name, a number
+# that is not a float or a value that is not a node at all at that node, also
+# below a valid node, and the compile step rejects it before any call.
 @pytest.mark.parametrize("bad,message", [
     (Var("z"), "Var 'z' is not one of x, y"),
     (Var("pi"), "Var 'pi' is not one of x, y"),
@@ -104,7 +106,15 @@ def test_non_finite_value_at_the_root_is_reported(tree, message):
     (Call("foo", Var("x")), "Call 'foo' is not one of sin, cos, tan, exp, log, sqrt, abs"),
     (BinOp("%", Var("x"), Var("y")), "BinOp '%' is not one of +, -, *, /, ^"),
     (Var(["x"]), "Var ['x'] is not one of x, y"),
-], ids=["var-z", "var-pi", "const-tau", "call-foo", "binop-percent", "var-unhashable"])
+    (Num("1"), "Num '1' is not a float"),
+    (Num(Decimal("1")), "Num Decimal('1') is not a float"),
+    (Num(1), "Num 1 is not a float"),
+    (Num(True), "Num True is not a float"),
+    ("x", "str is not an expression node"),
+    (None, "NoneType is not an expression node"),
+    (1.0, "float is not an expression node"),
+], ids=["var-z", "var-pi", "const-tau", "call-foo", "binop-percent", "var-unhashable",
+        "num-str", "num-decimal", "num-int", "num-bool", "str", "none", "float"])
 @pytest.mark.parametrize("route", [
     lambda tree: evaluate(tree, Point2(1.0, 2.0)),
     as_function,
@@ -114,7 +124,8 @@ def test_name_that_parse_never_builds_is_reported_at_its_node(bad, message, rout
     for tree in (bad, BinOp("+", Var("x"), bad)):
         exc = assert_raises_exactly(lambda: route(tree), EvaluationError, message)
         assert exc.node is bad
-        assert exc.__suppress_context__   # one error, not the KeyError as well
+        # One error, not the KeyError of a name lookup as well.
+        assert exc.__context__ is None or exc.__suppress_context__
 
 
 def test_compiled_expression_division_by_zero():
