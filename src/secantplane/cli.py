@@ -5,7 +5,9 @@ Subcommands:
 * ``estimate`` -- secant-plane coefficients for one three-point sample.
 * ``probe`` -- drive sequences toward a point and report a verdict.
 * ``counterexample`` -- reproduce the collapsing-angle family on
-  z = x^2 + y^2, with closed-form check columns.
+  z = x^2 + y^2: the rows are the ``run_trajectory`` steps of both pairings,
+  with check columns against the closed forms, for k up to ``--kmax``, which
+  must lie in 1..9,999,999 (the pairings' last step).
 
 Exit codes: 0 success (probe: consistent), 2 bad flags / expression /
 validation / unwritable ``--out``, 3 degenerate basis (estimate),
@@ -55,9 +57,10 @@ from .probe import (
     default_sequence_specs,
     probe,
     random_spec_floor,
+    run_trajectory,
 )
-from .sequences import (COMPANION_SCALES, INITIAL_RADIUS, ORIGIN, RADIUS_DECAY, SequenceKind,
-                        SequenceSpec, counterexample_points)
+from .sequences import (_PAIRING_SPECS, COMPANION_SCALES, INITIAL_RADIUS, ORIGIN, RADIUS_DECAY,
+                        SequenceKind, SequenceSpec, generate)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -328,17 +331,25 @@ def cmd_probe(args) -> tuple[int, str]:
 
 
 def _counterexample_rows(kmax: int) -> list[tuple]:
-    """One tuple per pairing and step, in ``_CE_COLUMNS`` order."""
+    """One tuple per step and pairing, k-major with ab first, in ``_CE_COLUMNS``
+    order: the first ``kmax`` steps of each pairing's trajectory on
+    x^2 + y^2, with check columns against the closed forms sin(1/k) and
+    scale - cos(1/k).
+
+    Raises:
+        RadiusUnderflow: past the pairings' last step, k = 9,999,999, before
+            any step is taken.
+    """
+    generate(_PAIRING_SPECS[0], kmax)  # the check of kmax against the last step
     f = lambda x, y: x * x + y * y
-    rows = []
-    for k in range(1, kmax + 1):
-        a, *companions = counterexample_points(k)
-        cos_k = math.cos(1.0 / k)
-        for pairing, scale, companion in zip(_PAIRINGS, COMPANION_SCALES.values(), companions):
-            coeffs = secant_coefficients(sample_function(f, ORIGIN, a, companion))
-            rows.append((pairing, k, coeffs.alpha, coeffs.beta,
-                         coeffs.alpha - a.x, coeffs.beta - (scale - cos_k)))
-    return rows
+    cfg = ProbeConfig(_PAIRING_SPECS, max_steps=max(kmax, 2 * TAIL_WINDOW))
+    by_pairing = []
+    for pairing, scale, spec in zip(_PAIRINGS, COMPANION_SCALES.values(), _PAIRING_SPECS):
+        # The trajectory is dropped once its rows are built, before the next one runs.
+        by_pairing.append([(pairing, s.k, s.alpha, s.beta, s.alpha - math.sin(1.0 / s.k),
+                            s.beta - (scale - math.cos(1.0 / s.k)))
+                           for s in run_trajectory(f, ORIGIN, spec, cfg).steps[:kmax]])
+    return [row for rows in zip(*by_pairing) for row in rows]
 
 
 # Each pairing's limit plane z = (scale - 1) y, then the tangent plane z = 0.

@@ -21,7 +21,8 @@ Four families are provided:
 Generation refuses radii below :data:`MIN_RADIUS`: beneath ~1e-8 the
 function-value differences f(P + d) - f(P) lose most significant bits in
 binary64 and coefficient estimates turn into noise. The radial and random
-kinds therefore stop at step 20, whose radius 0.1 * 0.5**19 is about 1.9e-7.
+kinds therefore stop at step 20, whose radius 0.1 * 0.5**19 is about 1.9e-7,
+and the collapsing kinds at k = 9,999,999: sin(1/10**7) is below 1e-7.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ class SequenceSpec:
             raise InvalidSpec("counterexample sequences are defined around the origin")
 
 
+#: The two collapsing-angle pairings as specs, in COMPANION_SCALES order.
+_PAIRING_SPECS = tuple(map(SequenceSpec, COMPANION_SCALES))
+
+
 def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
     """The k-th triple (A_k, B_k, C_k) of the collapsing-angle family.
 
@@ -113,18 +118,13 @@ def counterexample_points(k: int) -> tuple[Point2, Point2, Point2]:
     C_k = (3 sin(1/k) cos(1/k), 3 sin^2(1/k)).
 
     All three tend to the origin as k grows, while the angle between
-    A_k and B_k (or C_k) is exactly 1/k.
+    A_k and B_k (or C_k) is exactly 1/k. The triple is built by
+    :func:`generate` of the two pairings, so it stops where they do:
+    k = 9,999,999 is the last step, and from k = 10**7 on sin(1/k) is below
+    :data:`MIN_RADIUS` and ``RadiusUnderflow`` is raised.
     """
-    if k < 1:
-        raise InvalidSpec(f"step index must be >= 1, got {k!r}")
-    s, c = math.sin(1.0 / k), math.cos(1.0 / k)
-    return (Point2(s, 0.0), *(_companion(scale, s, c) for scale in COMPANION_SCALES.values()))
-
-
-def _companion(scale: float, s: float, c: float) -> Point2:
-    """The companion of :data:`COMPANION_SCALES` ``scale``, from s = sin(1/k)
-    and c = cos(1/k)."""
-    return Point2(scale * s * c, scale * s * s)
+    ab, ac = _PAIRING_SPECS
+    return (*generate(ab, k), generate(ac, k)[1])
 
 
 def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
@@ -141,12 +141,12 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
 
     if spec.kind in FLOOR_EXEMPT_KINDS:
-        # Only the pairing's own companion is built, not all of counterexample_points.
         s = math.sin(1.0 / k)
         if s < MIN_RADIUS:
             raise RadiusUnderflow(
                 f"counterexample radius sin(1/{k}) is below {MIN_RADIUS:g}")
-        return Point2(s, 0.0), _companion(COMPANION_SCALES[spec.kind], s, math.cos(1.0 / k))
+        scale, c = COMPANION_SCALES[spec.kind], math.cos(1.0 / k)
+        return Point2(s, 0.0), Point2(scale * s * c, scale * s * s)
 
     radius = INITIAL_RADIUS * RADIUS_DECAY ** (k - 1)
     if radius < MIN_RADIUS:

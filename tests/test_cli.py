@@ -298,19 +298,21 @@ class TestCounterexample:
         code, _, _ = run_cli(capsys, "counterexample", "--kmax", "0")
         assert code == 2
 
-    def test_rows_match_the_probe_steps_of_the_collapsing_pairings(self, capsys):
-        # The report and a probe of x^2+y^2 along both pairings reach the
-        # paper's counterexample by different routes; each step must agree
-        # bit for bit.
-        code, out, _ = run_cli(capsys, "counterexample", "--kmax", "12", "--format", "json")
+    @pytest.mark.parametrize("kmax", [1, 9, 10, 11, 12])
+    def test_rows_match_the_probe_steps_of_the_collapsing_pairings(self, capsys, kmax):
+        # The rows are the first kmax steps of both pairings' trajectories on
+        # x^2+y^2, k-major with ab first, also below the probe's least step
+        # count of 10; each must equal the probe's step bit for bit.
+        code, out, _ = run_cli(capsys, "counterexample", "--kmax", str(kmax), "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
         code, out, _ = run_cli(capsys, "probe", "--function", "x^2+y^2", "--point", "0,0",
                                "--seqs", "counterexample:ab;counterexample:ac",
-                               "--steps", "12", "--format", "json")
+                               "--steps", str(max(kmax, 10)), "--format", "json")
         assert code == 5
         trajectories = {t["kind"]: t["steps"] for t in json.loads(out)["trajectories"]}
-        assert len(rows) == 24
+        assert [(row["k"], row["pairing"]) for row in rows] == [
+            (k, pairing) for k in range(1, kmax + 1) for pairing in ("ab", "ac")]
         for row in rows:
             step = trajectories["counterexample-" + row["pairing"]][row["k"] - 1]
             assert step["k"] == row["k"]
@@ -407,6 +409,10 @@ ERROR_ROUTES = {
     "counterexample-kmax-0": (
         ["counterexample", "--kmax", "0"],
         2, "error: --kmax must be >= 1"),
+    # Past the pairings' last step, k = 9,999,999: refused before any row is built.
+    "counterexample-kmax-beyond-last-step": (
+        ["counterexample", "--kmax", "10000000"],
+        2, "error: counterexample radius sin(1/10000000) is below 1e-07"),
 }
 
 

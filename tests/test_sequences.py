@@ -65,6 +65,17 @@ def test_counterexample_rejects_bad_index():
         counterexample_points(0)
 
 
+@pytest.mark.parametrize("k", [1, 4, 10**6, 9_999_999])
+def test_counterexample_triple_is_the_two_pairings_of_generate(k):
+    ab, ac = (SequenceSpec(kind) for kind in FLOOR_EXEMPT_KINDS)
+    assert counterexample_points(k) == (*generate(ab, k), generate(ac, k)[1])
+
+
+def test_counterexample_triple_stops_at_the_pairings_last_step():
+    with pytest.raises(RadiusUnderflow, match=r"sin\(1/10000000\) is below 1e-07"):
+        counterexample_points(10**7)
+
+
 class TestRadialOrthogonal:
     def test_axis_aligned_third_step(self):
         spec = SequenceSpec(SequenceKind.RADIAL_ORTHOGONAL,
