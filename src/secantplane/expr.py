@@ -27,6 +27,10 @@ raises :class:`EvaluationError` with ``node`` set to it, from
 :func:`evaluate`, :func:`as_function` and :func:`to_source` alike: a name
 that ``parse`` never builds, a ``Num`` whose value is not a ``float`` (an
 ``int``, a ``bool`` or a ``str`` included), or a value that is not a node.
+
+:func:`as_function` compiles a tree once into one generated ``def f(x, y)``
+with one line per operation. Its source holds only this module's own names
+and the ``repr`` of floats, never text taken from a tree.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ from .geometry import Point2, ScalarField
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
              "log": math.log, "sqrt": math.sqrt, "abs": abs}
 CONSTANTS = {"pi": math.pi, "e": math.e}
-# Each variable's name and the coordinate of (x, y) it reads.
-_VARIABLES = {"x": lambda x, y: x, "y": lambda x, y: y}
+# Each variable's name and the coordinate it reads: the field of a Point2 and
+# the parameter of a compiled f(x, y) of that name.
+_VARIABLES = {"x": "x", "y": "y"}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": math.pow}
 # Binding strength, shared by the parser and the printer: levels 1 and 2 are
@@ -54,9 +59,10 @@ _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _ATOM_PREC = 5
 
-# The parser, the evaluator, the compiler and the printer each recurse once per
-# nesting level. These build the error each raises for a tree nested beyond
-# the interpreter's recursion limit.
+# The parser, the evaluator, the compile walk and the printer each recurse once
+# per nesting level; the function the compile walk generates does not. These
+# build the error each raises for a tree nested beyond the interpreter's
+# recursion limit.
 _TOO_DEEP_TO_PARSE = partial(ParseError, 0, "an expression nested less deeply")
 _TOO_DEEP_TO_EVALUATE = partial(EvaluationError, "expression nested too deeply to evaluate")
 _TOO_DEEP_TO_PRINT = partial(EvaluationError, "expression nested too deeply to print")
@@ -273,7 +279,7 @@ def _evaluate(e: Expr, p: Point2) -> float:
     if isinstance(e, Num):
         return _num_value(e)
     if isinstance(e, Var):
-        return _lookup(_VARIABLES, e.name, e)(p.x, p.y)
+        return getattr(p, _lookup(_VARIABLES, e.name, e))
     if isinstance(e, Const):
         return _lookup(CONSTANTS, e.name, e)
     if isinstance(e, Neg):
@@ -306,57 +312,80 @@ def _evaluate(e: Expr, p: Point2) -> float:
 # result: 1/inf, 2^-inf, inf^0, 1^nan and exp(-inf). Every other operation
 # passes inf and NaN on to its result, or raises.
 _MAY_HIDE_NON_FINITE = {"/", "^", "exp"}
+# The NaN guard of such an operation, by its number of operands.
+_NAN_GUARD = {1: " if isfinite({0}) else nan", 2: " if isfinite({0}) and isfinite({1}) else nan"}
+# Each operator's and function's expression in generated source, guarded if it
+# is in _MAY_HIDE_NON_FINITE. For floats, Python's + - * / give what _BINOPS gives
+# bit for bit; ^ calls math.pow.
+_BINOP_SOURCE = {op: ("pow({0}, {1})" if func is math.pow else f"{{0}} {op} {{1}}")
+                 + (_NAN_GUARD[2] if op in _MAY_HIDE_NON_FINITE else "")
+                 for op, func in _BINOPS.items()}
+_CALL_SOURCE = {name: f"{name}({{0}})" + (_NAN_GUARD[1] if name in _MAY_HIDE_NON_FINITE else "")
+                for name in FUNCTIONS}
+# Every global name the generated functions read, and no builtins: the
+# functions, math.pow, the guard's test and the reprs of non-finite floats.
+_GENERATED_GLOBALS = {**FUNCTIONS, "pow": math.pow, "isfinite": isfinite,
+                      "inf": math.inf, "nan": math.nan, "__builtins__": {}}
 
 
 def _compile(e: Expr) -> ScalarField:
-    """One closure per node doing the operation :func:`evaluate` does there.
+    """One generated ``def f(x, y)`` that does the operations of
+    :func:`evaluate` in its order, built once with ``compile()``: one line
+    and one local per operation, with each variable, constant and number
+    written in place. The lines are flat, so no tree that the walk here can
+    reach is too deep for Python's parser or compiler.
 
-    The closures check nothing. An operation in ``_MAY_HIDE_NON_FINITE``
+    The function checks nothing. An operation in ``_MAY_HIDE_NON_FINITE``
     gives NaN for an operand that is not finite, so a node that
     :func:`evaluate` rejects makes the whole result non-finite, or raises.
+    Only text from this module's tables and the ``repr`` of floats reaches
+    the source: every name is read through ``_lookup`` and every ``Num``
+    through ``_num_value``.
     """
+    lines: list[str] = []
+    result = _emit(e, lines)
+    source = "def f(x, y):\n" + "".join(f" {line}\n" for line in lines) + f" return {result}\n"
+    defined: dict = {}
+    exec(compile(source, "<expr>", "exec"), _GENERATED_GLOBALS, defined)
+    return defined["f"]
+
+
+def _emit(e: Expr, lines: list[str]) -> str:
+    """The source of ``e``'s value: a leaf's own text, or the name of a new
+    local, assigned by a line appended to ``lines`` after its children's."""
     if isinstance(e, (Num, Const)):
-        value = _num_value(e) if isinstance(e, Num) else _lookup(CONSTANTS, e.name, e)
-        return lambda x, y: value
+        return repr(_num_value(e) if isinstance(e, Num) else _lookup(CONSTANTS, e.name, e))
     if isinstance(e, Var):
         return _lookup(_VARIABLES, e.name, e)
     if isinstance(e, Neg):
-        operand = _compile(e.operand)
-        return lambda x, y: -operand(x, y)
-    if isinstance(e, BinOp):
-        op, left_of, right_of = _lookup(_BINOPS, e.op, e), _compile(e.left), _compile(e.right)
-        if e.op not in _MAY_HIDE_NON_FINITE:
-            return lambda x, y: op(left_of(x, y), right_of(x, y))
-
-        def guarded_binop(x, y):
-            left, right = left_of(x, y), right_of(x, y)
-            return op(left, right) if isfinite(left) and isfinite(right) else math.nan
-        return guarded_binop
-    if not isinstance(e, Call):
+        value = "-" + _emit(e.operand, lines)
+    elif isinstance(e, BinOp):
+        value = _lookup(_BINOP_SOURCE, e.op, e).format(_emit(e.left, lines), _emit(e.right, lines))
+    elif isinstance(e, Call):
+        value = _lookup(_CALL_SOURCE, e.func, e).format(_emit(e.arg, lines))
+    else:
         raise _not_a_node(e)
-    func, arg_of = _lookup(FUNCTIONS, e.func, e), _compile(e.arg)
-    if e.func not in _MAY_HIDE_NON_FINITE:
-        return lambda x, y: func(arg_of(x, y))
-
-    def guarded_call(x, y):
-        arg = arg_of(x, y)
-        return func(arg) if isfinite(arg) else math.nan
-    return guarded_call
+    local = f"v{len(lines)}"
+    lines.append(f"{local} = {value}")
+    return local
 
 
 def as_function(e: Expr) -> ScalarField:
     """Compile a tree into a plain ``f(x, y) -> float`` callable.
 
-    The tree is compiled once into nested closures that do the operations of
-    :func:`evaluate` in the same order, so every value is the same. The
-    callable checks the result once: where an operation raised or the result
-    is not finite, it returns :func:`evaluate` at the point, which raises the
-    reference error of the first failing node.
+    The tree is compiled once into one generated function that does the
+    operations of :func:`evaluate` in the same order, so every value is the
+    same. The callable checks the result once: where an operation raised or
+    the result is not finite, it returns :func:`evaluate` at the point, which
+    raises the reference error of the first failing node.
 
     A malformed node (see the module docstring) raises
-    :class:`EvaluationError` here, before any call. Compiling and evaluating recurse once per level of
-    the tree, so a tree too deep for the interpreter's recursion limit raises
-    :class:`EvaluationError`, here or from the returned callable.
+    :class:`EvaluationError` here, before any source is compiled. The
+    compile walk recurses once per level of the tree, so a tree too deep for
+    the interpreter's recursion limit raises :class:`EvaluationError` here.
+    The generated function runs in one frame, so a tree that compiles can be
+    called with few frames left; only :func:`evaluate`, on the error path,
+    can still run out of depth.
     """
     run = _within_depth(_TOO_DEEP_TO_EVALUATE, _compile, e)
 

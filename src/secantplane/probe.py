@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegenerateBasis, InvalidSpec, RadiusUnderflow
 from .geometry import (
@@ -95,8 +95,9 @@ class ProbeConfig:
                     f"({spec.angle_floor} < {self.angle_floor})")
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(NamedTuple):
+    """One step's record, a named tuple: it equals the plain tuple of its fields."""
+
     k: int
     alpha: float
     beta: float
@@ -226,7 +227,6 @@ def run_trajectory(f: ScalarField, base: Point2, spec: SequenceSpec,
                 sin_theta)
         z_a, z_b = field_value(f, a), field_value(f, b)
         alpha, beta = _solve(ux, uy, vx, vy, sin_theta, z_a - z_base, z_b - z_base)
-        # Positional: keyword construction costs about a quarter of the record.
         steps.append(TrajectoryStep(k, alpha, beta, sin_theta, math.hypot(ux, uy), meets))
 
     # The tail is full: max_steps is at least 2*TAIL_WINDOW, and no kind's

@@ -6,6 +6,7 @@ fail exactly where, and exactly as, the dataclass checks do.
 
 import math
 import sys
+import warnings
 from decimal import Decimal
 
 import pytest
@@ -29,6 +30,7 @@ from secantplane import (
     run_trajectory,
     secant_coefficients,
 )
+from secantplane import expr
 from secantplane.cli import _parse_seq_entry, main
 from secantplane.expr import (BinOp, Call, Const, Neg, Num, Var, as_function, evaluate,
                               parse, to_source)
@@ -98,7 +100,8 @@ def test_non_finite_value_at_the_root_is_reported(tree, message):
 # parse builds only the names in expr's tables and only float numbers, but a
 # tree built by hand may hold anything: each route reports a name, a number
 # that is not a float or a value that is not a node at all at that node, also
-# below a valid node, and the compile step rejects it before any call.
+# below a valid node, and as_function rejects it before any source is
+# compiled, so a name that reads as code never reaches compile().
 @pytest.mark.parametrize("bad,message", [
     (Var("z"), "Var 'z' is not one of x, y"),
     (Var("pi"), "Var 'pi' is not one of x, y"),
@@ -113,19 +116,39 @@ def test_non_finite_value_at_the_root_is_reported(tree, message):
     ("x", "str is not an expression node"),
     (None, "NoneType is not an expression node"),
     (1.0, "float is not an expression node"),
+    (Var("__import__"), "Var '__import__' is not one of x, y"),
+    (Const("x; import os"), "Const 'x; import os' is not one of pi, e"),
+    (Call("os.system", Var("x")),
+     "Call 'os.system' is not one of sin, cos, tan, exp, log, sqrt, abs"),
+    (BinOp("**", Var("x"), Var("y")), "BinOp '**' is not one of +, -, *, /, ^"),
 ], ids=["var-z", "var-pi", "const-tau", "call-foo", "binop-percent", "var-unhashable",
-        "num-str", "num-decimal", "num-int", "num-bool", "str", "none", "float"])
+        "num-str", "num-decimal", "num-int", "num-bool", "str", "none", "float",
+        "var-import", "const-statement", "call-os-system", "binop-python-power"])
 @pytest.mark.parametrize("route", [
     lambda tree: evaluate(tree, Point2(1.0, 2.0)),
     as_function,
     to_source,
 ], ids=["evaluate", "as_function", "to_source"])
-def test_name_that_parse_never_builds_is_reported_at_its_node(bad, message, route):
+def test_name_that_parse_never_builds_is_reported_at_its_node(bad, message, route,
+                                                              monkeypatch):
+    compiled = []
+    monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args), raising=False)
     for tree in (bad, BinOp("+", Var("x"), bad)):
         exc = assert_raises_exactly(lambda: route(tree), EvaluationError, message)
         assert exc.node is bad
         # One error, not the KeyError of a name lookup as well.
         assert exc.__context__ is None or exc.__suppress_context__
+    assert compiled == []
+
+
+# One tree with every operator, function, constant and variable: the
+# generated source draws no warning from compile(), such as a SyntaxWarning.
+def test_generated_source_compiles_without_warnings():
+    tree = parse("sin(x)+cos(y)-tan(x)*exp(y)/log(2+x^2)^sqrt(abs(-y)+pi*e)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = as_function(tree)
+        assert repr(f(0.5, -0.25)) == repr(evaluate(tree, Point2(0.5, -0.25)))
 
 
 def test_compiled_expression_division_by_zero():
@@ -135,17 +158,18 @@ def test_compiled_expression_division_by_zero():
     assert exc.point == Point2(1.0, 0.0)
 
 
-def test_compiled_expression_called_too_deep_to_evaluate():
-    # The tree compiles, but the call leaves too few frames to evaluate it.
+def test_compiled_expression_called_with_few_frames_left():
+    # The generated function does not recurse, so a call made with few frames
+    # left evaluates a sum that a closure per node could not.
     f = as_function(parse("+".join(["x"] * 400)))
-    assert f(1.0, 0.0) == 400.0
 
     def call_deeper(levels):
         return f(1.0, 0.0) if levels == 0 else call_deeper(levels - 1)
 
-    levels = sys.getrecursionlimit() - frames_in_use() - 200
-    exc = assert_raises_exactly(lambda: call_deeper(levels), EvaluationError,
-                                "expression nested too deeply to evaluate")
+    assert call_deeper(sys.getrecursionlimit() - frames_in_use() - 20) == 400.0
+    # Only the compile walk recurses, once per level of the tree.
+    exc = assert_raises_exactly(lambda: as_function(parse("+".join(["x"] * 3000))),
+                                EvaluationError, "expression nested too deeply to evaluate")
     assert exc.__suppress_context__   # one error line, not the RecursionError as well
 
 

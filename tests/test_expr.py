@@ -319,6 +319,12 @@ def test_printer_refuses_numbers_parse_never_builds(tree):
 # A failing root node: no enclosing node re-checks its result.
 @example(parse("1/y"), 1.0, 0.0)
 @example(parse("log(x)"), -1.0, 0.0)
+# Literals in generated source: each reads back as the same float, the sign
+# of zero included.
+@example(Num(-0.0), 1.0, 2.0)
+@example(Num(5e-324), 1.0, 2.0)
+@example(Num(1.7976931348623157e308), 1.0, 2.0)
+@example(Neg(Num(0.0)), 1.0, 2.0)
 def test_compiled_function_matches_evaluate(tree, x, y):
     f = as_function(tree)
     try:

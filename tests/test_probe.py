@@ -17,6 +17,7 @@ from secantplane import (
     RadiusUnderflow,
     SequenceKind,
     SequenceSpec,
+    TrajectoryStep,
     Vec2,
     Verdict,
     angle_between,
@@ -361,6 +362,22 @@ class TestTrajectorySteps:
         # Tuples of floats compare with ==, so -0.0 and 0.0 would pass as equal;
         # repr tells them apart.
         assert repr(got) == repr(expected)
+
+    # A step is a named tuple: read-only, equal to the plain tuple of its
+    # fields in their fixed order, and printed with their names.
+    def test_step_is_a_read_only_named_tuple(self):
+        base = Point2(1.0, 2.0)
+        step = run_trajectory(SQUARE, base, radial(base, 1.0, 0.0), default_cfg(base)).steps[0]
+        with pytest.raises(AttributeError):
+            step.alpha = 0.0
+        assert type(step)._fields == ("k", "alpha", "beta", "sin_theta", "radius", "meets_floor")
+        assert step == tuple(step) == (1, step.alpha, step.beta, 1.0, step.radius, True)
+        assert step._replace(k=2).k == 2 and step.k == 1
+
+    def test_step_repr_names_its_fields(self):
+        step = TrajectoryStep(1, 2.0, -0.5, 1.0, 0.1, True)
+        assert repr(step) == ("TrajectoryStep(k=1, alpha=2.0, beta=-0.5, sin_theta=1.0, "
+                              "radius=0.1, meets_floor=True)")
 
 
 class TestTraceContract:
