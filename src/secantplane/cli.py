@@ -13,12 +13,15 @@ Exit codes: 0 success (probe: consistent), 2 bad flags / expression /
 validation / unwritable ``--out``, 3 degenerate basis (estimate),
 4 probe contradicted, 5 probe inconclusive.
 
-Each ``cmd_*`` function returns ``(exit code, text)`` and writes nothing.
-``main`` alone writes the text, to stdout or to ``--out``, and only once the
-command has returned. It is also the only place that maps errors to exit
-codes: every library error (a ``ValueError``) and every ``OSError`` becomes
-one ``error: …`` line on stderr and exit 2, or the subcommand's
-``degenerate_exit`` for a ``DegenerateBasis``.
+Each ``cmd_*`` function returns ``(exit code, text)`` and writes nothing. The
+text is a ``str``, except for ``counterexample``, whose rows are rendered in
+chunks of ``_CHUNK_ROWS`` as they are written, so that the whole text is never
+held. ``main`` alone writes the text, to stdout or to ``--out``, and only once
+the command has returned, by when every check of its arguments has run. It is
+also the only place that maps errors to exit codes: every library error (a
+``ValueError``) and every ``OSError`` becomes one ``error: …`` line on stderr
+and exit 2, or the subcommand's ``degenerate_exit`` for a
+``DegenerateBasis``.
 
 The argument parser is built on the first call of ``build_parser`` and
 shared by every later call in the process; ``build_parser()`` returns that
@@ -40,7 +43,8 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from . import expr
 from .errors import DegenerateBasis, InvalidSpec
@@ -49,10 +53,13 @@ from .geometry import (DEFAULT_DEGENERACY_FLOOR, Point2, Vec2, _unit, angle_betw
 from .probe import (
     AGREE_TOL,
     CAUCHY_TOL,
+    DEFAULT_ANGLE_FLOOR,
+    DEFAULT_MAX_STEPS,
     TAIL_WINDOW,
     CoefficientTrajectory,
     ProbeConfig,
     ProbeReport,
+    TrajectoryStep,
     Verdict,
     default_sequence_specs,
     probe,
@@ -255,9 +262,10 @@ def _probe_json(report: ProbeReport, cfg: ProbeConfig, base: Point2) -> str:
 
 
 def _csv(header, rows) -> str:
-    """CSV text of a header row and data rows, as ``csv.writer`` writes them
-    when no field needs quoting (see the module docstring)."""
-    return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
+    """CSV text of a header row, unless it is empty, and data rows, as
+    ``csv.writer`` writes them when no field needs quoting (see the module
+    docstring)."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in ((header, *rows) if header else rows))
 
 
 def cmd_estimate(args) -> tuple[int, str]:
@@ -330,59 +338,82 @@ def cmd_probe(args) -> tuple[int, str]:
     return _VERDICT_EXIT[report.verdict], text
 
 
-def _counterexample_rows(kmax: int) -> list[tuple]:
+def _counterexample_rows(trajectories: list[tuple[TrajectoryStep, ...]]) -> Iterator[tuple]:
     """One tuple per step and pairing, k-major with ab first, in ``_CE_COLUMNS``
-    order: the first ``kmax`` steps of each pairing's trajectory on
-    x^2 + y^2, with check columns against the closed forms sin(1/k) and
-    scale - cos(1/k).
-
-    Raises:
-        RadiusUnderflow: past the pairings' last step, k = 9,999,999, before
-            any step is taken.
-    """
-    generate(_PAIRING_SPECS[0], kmax)  # the check of kmax against the last step
-    f = lambda x, y: x * x + y * y
-    cfg = ProbeConfig(_PAIRING_SPECS, max_steps=max(kmax, 2 * TAIL_WINDOW))
-    by_pairing = []
-    for pairing, scale, spec in zip(_PAIRINGS, COMPANION_SCALES.values(), _PAIRING_SPECS):
-        # The trajectory is dropped once its rows are built, before the next one runs.
-        by_pairing.append([(pairing, s.k, s.alpha, s.beta, s.alpha - math.sin(1.0 / s.k),
-                            s.beta - (scale - math.cos(1.0 / s.k)))
-                           for s in run_trajectory(f, ORIGIN, spec, cfg).steps[:kmax]])
-    return [row for rows in zip(*by_pairing) for row in rows]
+    order, from each pairing's steps in ``_PAIRINGS`` order, with check columns
+    against the closed forms sin(1/k) and scale - cos(1/k)."""
+    pairings = tuple(zip(_PAIRINGS, COMPANION_SCALES.values()))
+    for steps in zip(*trajectories):
+        for (pairing, scale), s in zip(pairings, steps):
+            yield (pairing, s.k, s.alpha, s.beta, s.alpha - math.sin(1.0 / s.k),
+                   s.beta - (scale - math.cos(1.0 / s.k)))
 
 
 # Each pairing's limit plane z = (scale - 1) y, then the tangent plane z = 0.
 _CE_SUMMARY = (*((f"{pairing}-limit", 0.0, scale - 1.0)
                  for pairing, scale in zip(_PAIRINGS, COMPANION_SCALES.values())),
                ("tangent", 0.0, 0.0))
+#: Rows per chunk of the counterexample output, which main writes as it comes.
+_CHUNK_ROWS = 1000
+
+
+def _batches(rows: Iterator[tuple]) -> Iterator[list[tuple]]:
+    """``rows`` in lists of at most ``_CHUNK_ROWS``."""
+    while batch := list(islice(rows, _CHUNK_ROWS)):
+        yield batch
+
+
+def _counterexample_text(rows: Iterator[tuple], fmt: str) -> Iterator[str]:
+    """The ``counterexample`` output of ``rows`` in ``fmt``, one chunk per batch
+    of rows. The JSON is laid out as ``_json_object`` and ``_json_array`` lay
+    it out."""
+    if fmt == "json":
+        yield '{\n  "rows": ['
+        lead = ""
+        for batch in _batches(rows):
+            yield lead + ",".join("\n    " + _CE_ROW_JSON % (pairing, k, *map(_json_float, values))
+                                  for pairing, k, *values in batch)
+            lead = ","
+        summary = [{"plane": name, "alpha": a, "beta": b} for name, a, b in _CE_SUMMARY]
+        yield ("\n  ]" if lead else "]") + ',\n  "summary": ' + _json_block(summary, 1) + "\n}\n"
+    elif fmt == "csv":
+        yield _csv(_CE_COLUMNS, ())
+        for batch in _batches(rows):
+            yield _csv((), ([pairing, k, *map(_g17, values)] for pairing, k, *values in batch))
+        yield _csv((), ([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY))
+    else:
+        yield (f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
+               f"{'alpha_check':>13} {'beta_check':>13}\n")
+        for batch in _batches(rows):
+            yield "".join(f"{pairing:>4} {k:>6} {alpha:>24.17g} {beta:>24.17g} "
+                          f"{alpha_check:>13.3e} {beta_check:>13.3e}\n"
+                          for pairing, k, alpha, beta, alpha_check, beta_check in batch)
+        yield "limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0\n"
 
 
 def _counterexample_json(rows: list[tuple]) -> str:
-    rendered = [_CE_ROW_JSON % (pairing, k, *map(_json_float, values))
-                for pairing, k, *values in rows]
-    summary = [{"plane": name, "alpha": a, "beta": b} for name, a, b in _CE_SUMMARY]
-    return _json_object([("rows", _json_array(rendered, 1)),
-                         ("summary", _json_block(summary, 1))], 0) + "\n"
+    """The JSON document of ``rows``, whole, as ``counterexample`` writes it in chunks."""
+    return "".join(_counterexample_text(iter(rows), "json"))
 
 
-def cmd_counterexample(args) -> tuple[int, str]:
-    if args.kmax < 1:
+def cmd_counterexample(args) -> tuple[int, Iterator[str]]:
+    """The first ``--kmax`` steps of each pairing's trajectory on x^2 + y^2, run
+    here, so that every error is raised before ``main`` writes, and rendered
+    as ``main`` writes them.
+
+    Raises:
+        InvalidSpec: for ``--kmax`` below 1.
+        RadiusUnderflow: past the pairings' last step, k = 9,999,999, before
+            any step is taken.
+    """
+    kmax = args.kmax
+    if kmax < 1:
         raise InvalidSpec("--kmax must be >= 1")
-    rows = _counterexample_rows(args.kmax)
-    if args.format == "json":
-        return EXIT_OK, _counterexample_json(rows)
-    if args.format == "csv":
-        body = [[pairing, k, *map(_g17, values)] for pairing, k, *values in rows]
-        body += ([name, "", _g17(a), _g17(b), "", ""] for name, a, b in _CE_SUMMARY)
-        return EXIT_OK, _csv(_CE_COLUMNS, body)
-    lines = [f"{'pair':>4} {'k':>6} {'alpha':>24} {'beta':>24} "
-             f"{'alpha_check':>13} {'beta_check':>13}"]
-    lines.extend(f"{pairing:>4} {k:>6} {alpha:>24.17g} {beta:>24.17g} "
-                 f"{alpha_check:>13.3e} {beta_check:>13.3e}"
-                 for pairing, k, alpha, beta, alpha_check, beta_check in rows)
-    lines.append("limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    generate(_PAIRING_SPECS[0], kmax)  # the check of kmax against the last step
+    f = lambda x, y: x * x + y * y
+    cfg = ProbeConfig(_PAIRING_SPECS, max_steps=max(kmax, 2 * TAIL_WINDOW))
+    trajectories = [run_trajectory(f, ORIGIN, spec, cfg).steps[:kmax] for spec in _PAIRING_SPECS]
+    return EXIT_OK, _counterexample_text(_counterexample_rows(trajectories), args.format)
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -418,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="degeneracy floor on sin(theta) (default %(default)g)")
     est.set_defaults(degenerate_exit=EXIT_DEGENERATE)
 
-    prb.add_argument("--p", type=float, default=ProbeConfig.angle_floor,
+    prb.add_argument("--p", type=float, default=DEFAULT_ANGLE_FLOOR,
                      help="uniform angle floor p in (0,1) (default %(default)g)")
-    prb.add_argument("--steps", type=int, default=ProbeConfig.max_steps,
+    prb.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS,
                      help="max steps per sequence (default %(default)g), at least "
                           f"{2 * TAIL_WINDOW}; radial and random specs stop at step 20 "
                           "(1e-7 radius), so more steps only lengthen counterexample specs")
@@ -438,6 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(handle, text) -> None:
+    """Write a command's text: one ``str``, or its chunks as they come."""
+    for chunk in (text,) if isinstance(text, str) else text:
+        handle.write(chunk)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -446,7 +483,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         # An --out that cannot be written is reported before any work is done;
-        # the file is opened only once the command has its text.
+        # the file is opened only once the command has returned.
         if args.out is not None:
             directory = os.path.dirname(args.out) or os.curdir
             if not args.out:
@@ -461,9 +498,9 @@ def main(argv=None) -> int:
         code, text = globals()["cmd_" + args.command](args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                _write(handle, text)
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return args.degenerate_exit if isinstance(exc, DegenerateBasis) else EXIT_USAGE

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from math import isfinite
 from typing import Callable, Union
@@ -99,37 +99,29 @@ def _not_a_node(value) -> EvaluationError:
     return EvaluationError(f"{type(value).__name__} is not an expression node", node=value)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+# The nodes are named tuples, so a node equals any tuple of the same values.
+class Num(namedtuple("Num", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # 'x' or 'y'
+class Var(namedtuple("Var", "name")):  # 'x' or 'y'
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str  # 'pi' or 'e'
+class Const(namedtuple("Const", "name")):  # 'pi' or 'e'
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(namedtuple("Neg", "operand")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class BinOp(namedtuple("BinOp", "op left right")):  # op is one of + - * / ^
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Call(namedtuple("Call", "func arg")):
+    __slots__ = ()
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]

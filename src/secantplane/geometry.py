@@ -15,12 +15,15 @@ inverse of the column-normalized basis has every entry bounded by
 
 All reals are IEEE-754 binary64. Everything here is a pure function of its
 inputs; values are immutable and safe to share between threads.
+
+The value types are named tuples: a value equals the plain tuple of its
+fields, and a type that checks its fields does so in ``__new__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf, isfinite
 from typing import Callable
 
@@ -41,16 +44,26 @@ def _require_finite(**fields: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Vec2:
+class _Validated:
+    """Base of the named tuples whose ``__new__`` checks their fields:
+    ``_make``, and so ``_replace``, build through ``__new__`` as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Vec2(_Validated, namedtuple("Vec2", "dx dy")):
     """A displacement in the domain plane."""
 
-    dx: float
-    dy: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isfinite(self.dx) and isfinite(self.dy)):
-            _require_finite(dx=self.dx, dy=self.dy)
+    def __new__(cls, dx: float, dy: float):
+        if not (isfinite(dx) and isfinite(dy)):
+            _require_finite(dx=dx, dy=dy)
+        return tuple.__new__(cls, (dx, dy))
 
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
@@ -59,23 +72,21 @@ class Vec2:
         return self.dx == 0.0 and self.dy == 0.0
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(_Validated, namedtuple("Point2", "x y")):
     """A point in the domain plane. Coordinates must be finite."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isfinite(self.x) and isfinite(self.y)):
-            _require_finite(x=self.x, y=self.y)
+    def __new__(cls, x: float, y: float):
+        if not (isfinite(x) and isfinite(y)):
+            _require_finite(x=x, y=y)
+        return tuple.__new__(cls, (x, y))
 
     def __sub__(self, other: "Point2") -> Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class SecantSample:
+class SecantSample(_Validated, namedtuple("SecantSample", "base a b z_base z_a z_b")):
     """Base point plus two companions with their function values.
 
     The companions must differ from the base as exact coordinate pairs;
@@ -83,44 +94,34 @@ class SecantSample:
     basis meaningless before any question of conditioning arises.
     """
 
-    base: Point2
-    a: Point2
-    b: Point2
-    z_base: float
-    z_a: float
-    z_b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isfinite(self.z_base) and isfinite(self.z_a) and isfinite(self.z_b)):
-            _require_finite(z_base=self.z_base, z_a=self.z_a, z_b=self.z_b)
-        if self.a.x == self.base.x and self.a.y == self.base.y:
+    def __new__(cls, base: Point2, a: Point2, b: Point2, z_base: float, z_a: float, z_b: float):
+        if not (isfinite(z_base) and isfinite(z_a) and isfinite(z_b)):
+            _require_finite(z_base=z_base, z_a=z_a, z_b=z_b)
+        if a.x == base.x and a.y == base.y:
             raise ZeroVector("companion a coincides with the base point")
-        if self.b.x == self.base.x and self.b.y == self.base.y:
+        if b.x == base.x and b.y == base.y:
             raise ZeroVector("companion b coincides with the base point")
+        return tuple.__new__(cls, (base, a, b, z_base, z_a, z_b))
 
     def basis(self) -> tuple[Vec2, Vec2]:
         return (self.a - self.base, self.b - self.base)
 
 
-@dataclass(frozen=True)
-class PlaneCoeffs:
+class PlaneCoeffs(_Validated, namedtuple("PlaneCoeffs", "x0 y0 z0 alpha beta")):
     """The affine plane z = z0 + alpha*(x - x0) + beta*(y - y0)."""
 
-    x0: float
-    y0: float
-    z0: float
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isfinite(self.x0) and isfinite(self.y0) and isfinite(self.z0)
-                and isfinite(self.alpha) and isfinite(self.beta)):
-            _require_finite(x0=self.x0, y0=self.y0, z0=self.z0,
-                            alpha=self.alpha, beta=self.beta)
+    def __new__(cls, x0: float, y0: float, z0: float, alpha: float, beta: float):
+        if not (isfinite(x0) and isfinite(y0) and isfinite(z0)
+                and isfinite(alpha) and isfinite(beta)):
+            _require_finite(x0=x0, y0=y0, z0=z0, alpha=alpha, beta=beta)
+        return tuple.__new__(cls, (x0, y0, z0, alpha, beta))
 
 
-@dataclass(frozen=True)
-class BasisQuality:
+class BasisQuality(namedtuple("BasisQuality", "sin_theta theta det_normalized")):
     """Angle diagnostics for a pair of directions.
 
     ``sin_theta`` equals ``abs(det_normalized)`` by construction, and
@@ -128,9 +129,7 @@ class BasisQuality:
     including nearly parallel ones.
     """
 
-    sin_theta: float
-    theta: float
-    det_normalized: float
+    __slots__ = ()
 
 
 def field_value(f: ScalarField, p: Point2) -> float:

@@ -28,19 +28,20 @@ sin(theta) above the library's degeneracy floor 1e-8.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegenerateBasis, InvalidSpec, RadiusUnderflow
 from .geometry import (
-    PlaneCoeffs,
     Point2,
     ScalarField,
     SecantSample,
     Vec2,
     _det_normalized,
     _solve,
+    _Validated,
     field_value,
     secant_coefficients,
 )
@@ -50,6 +51,8 @@ from .sequences import FLOOR_EXEMPT_KINDS, SequenceKind, SequenceSpec, _integer,
 TAIL_WINDOW = 5     # trailing steps whose coefficients must agree
 CAUCHY_TOL = 1e-4   # max-norm spread of that tail for a trajectory to converge
 AGREE_TOL = 5e-6    # max-norm gap allowed between converged limits
+DEFAULT_ANGLE_FLOOR = 0.1   # ProbeConfig's angle floor p unless the caller sets it
+DEFAULT_MAX_STEPS = 40      # and its step limit
 
 
 class Verdict(Enum):
@@ -58,8 +61,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Validated, namedtuple("ProbeConfig", "sequence_specs angle_floor max_steps")):
     """Probe parameters: the sequences, the angle floor and the step limit.
 
     ``angle_floor`` is the uniform linear-independence floor p: every
@@ -68,31 +70,31 @@ class ProbeConfig:
     least this large). Counterexample kinds are exempt so the collapsing
     trajectories stay computable; their floor violations are flagged
     per step instead. ``max_steps`` must be an integer that leaves room for
-    two tail windows.
+    two tail windows. The defaults are ``DEFAULT_ANGLE_FLOOR`` and
+    ``DEFAULT_MAX_STEPS``.
     The stopping policy is fixed by the module constants ``TAIL_WINDOW``,
     ``CAUCHY_TOL`` and ``AGREE_TOL``.
     """
 
-    sequence_specs: tuple[SequenceSpec, ...]
-    angle_floor: float = 0.1
-    max_steps: int = 40
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sequence_specs", tuple(self.sequence_specs))
-        if len(self.sequence_specs) < 2:
+    def __new__(cls, sequence_specs: Sequence[SequenceSpec],
+                angle_floor: float = DEFAULT_ANGLE_FLOOR, max_steps: int = DEFAULT_MAX_STEPS):
+        sequence_specs = tuple(sequence_specs)
+        if len(sequence_specs) < 2:
             raise InvalidSpec("probing needs at least 2 sequence specs")
-        if not (0.0 < self.angle_floor < 1.0):
-            raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
-        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps))
-        if self.max_steps < 2 * TAIL_WINDOW:
+        if not (0.0 < angle_floor < 1.0):
+            raise InvalidSpec(f"angle_floor must be in (0, 1), got {angle_floor!r}")
+        max_steps = _integer("max_steps", max_steps)
+        if max_steps < 2 * TAIL_WINDOW:
             raise InvalidSpec("max_steps must be at least 2*tail_window = "
-                              f"{2 * TAIL_WINDOW}, got {self.max_steps!r}")
-        for spec in self.sequence_specs:
-            if (spec.kind is SequenceKind.RANDOM_ANGLE_FLOOR
-                    and spec.angle_floor < self.angle_floor):
+                              f"{2 * TAIL_WINDOW}, got {max_steps!r}")
+        for spec in sequence_specs:
+            if spec.kind is SequenceKind.RANDOM_ANGLE_FLOOR and spec.angle_floor < angle_floor:
                 raise InvalidSpec(
                     "random sequence spec must guarantee the probe's angle floor "
-                    f"({spec.angle_floor} < {self.angle_floor})")
+                    f"({spec.angle_floor} < {angle_floor})")
+        return tuple.__new__(cls, (sequence_specs, angle_floor, max_steps))
 
 
 class TrajectoryStep(NamedTuple):
@@ -106,25 +108,23 @@ class TrajectoryStep(NamedTuple):
     meets_floor: bool
 
 
-@dataclass(frozen=True)
-class CoefficientTrajectory:
+class CoefficientTrajectory(namedtuple("CoefficientTrajectory", "spec steps converged limit "
+                                                              "floor_exempt radius_exhausted")):
     """Per-step coefficient records along one sequence spec.
 
-    ``limit`` is present exactly when ``converged`` is true, and it is then
-    the plane of the last step. No step is ever skipped as degenerate (see
+    ``steps`` is a tuple of :class:`TrajectoryStep`. ``limit``, a
+    ``PlaneCoeffs``, is present exactly when ``converged`` is true, and it is
+    then the plane of the last step. No step is ever skipped as degenerate (see
     the module docstring), so ``steps`` holds every step taken, and
     ``radius_exhausted`` is true exactly when the minimum radius ended the
     trajectory before ``max_steps``, which leaves it fewer steps than that.
     """
 
-    spec: SequenceSpec
-    steps: tuple[TrajectoryStep, ...]
-    converged: bool
-    limit: Optional[PlaneCoeffs]
-    floor_exempt: bool
-    radius_exhausted: bool
+    __slots__ = ()
 
 
+# A dataclass while the benchmark's self-test copies reports with
+# dataclasses.replace; every other record is a named tuple.
 @dataclass(frozen=True)
 class ProbeReport:
     verdict: Verdict
@@ -144,7 +144,7 @@ def random_spec_floor(angle_floor: float) -> float:
     return max(0.7, angle_floor)
 
 
-def default_sequence_specs(base: Point2, angle_floor: float = ProbeConfig.angle_floor,
+def default_sequence_specs(base: Point2, angle_floor: float = DEFAULT_ANGLE_FLOOR,
                            seed: int = 0) -> tuple[SequenceSpec, ...]:
     """Two orthogonal radial approaches plus one random-direction approach."""
     diag = math.sqrt(0.5)

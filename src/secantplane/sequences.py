@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidSpec, RadiusUnderflow
-from .geometry import Point2, Vec2, _det_normalized, orthogonal_companion
+from .geometry import Point2, Vec2, _det_normalized, _Validated, orthogonal_companion
 
 #: Generators refuse steps whose radius would fall below this.
 MIN_RADIUS = 1e-7
@@ -71,8 +71,7 @@ COMPANION_SCALES = {SequenceKind.COUNTEREXAMPLE_AB: 2.0, SequenceKind.COUNTEREXA
 FLOOR_EXEMPT_KINDS = tuple(COMPANION_SCALES)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(_Validated, namedtuple("SequenceSpec", "kind base angle_floor direction seed")):
     """A rule producing point pairs (a_k, b_k) -> base.
 
     ``direction`` is used by RADIAL_ORTHOGONAL and must be unit length;
@@ -86,24 +85,22 @@ class SequenceSpec:
     sin(1/k) and its :data:`COMPANION_SCALES` multiple by construction.
     """
 
-    kind: SequenceKind
-    base: Point2 = ORIGIN
-    angle_floor: float = 0.5
-    direction: Vec2 = Vec2(1.0, 0.0)
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kind, SequenceKind):
-            raise InvalidSpec(f"unknown sequence kind {self.kind!r}")
-        if not (0.0 < self.angle_floor < 1.0):
-            raise InvalidSpec(f"angle_floor must be in (0, 1), got {self.angle_floor!r}")
-        if abs(self.direction.norm() - 1.0) > 1e-12:
-            raise InvalidSpec(f"direction must be unit length, |d|={self.direction.norm()!r}")
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be non-negative, got {self.seed!r}")
-        if self.kind in FLOOR_EXEMPT_KINDS and (self.base.x != 0.0 or self.base.y != 0.0):
+    def __new__(cls, kind: SequenceKind, base: Point2 = ORIGIN, angle_floor: float = 0.5,
+                direction: Vec2 = Vec2(1.0, 0.0), seed: int = 0):
+        if not isinstance(kind, SequenceKind):
+            raise InvalidSpec(f"unknown sequence kind {kind!r}")
+        if not (0.0 < angle_floor < 1.0):
+            raise InvalidSpec(f"angle_floor must be in (0, 1), got {angle_floor!r}")
+        if abs(direction.norm() - 1.0) > 1e-12:
+            raise InvalidSpec(f"direction must be unit length, |d|={direction.norm()!r}")
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {seed!r}")
+        if kind in FLOOR_EXEMPT_KINDS and (base.x != 0.0 or base.y != 0.0):
             raise InvalidSpec("counterexample sequences are defined around the origin")
+        return tuple.__new__(cls, (kind, base, angle_floor, direction, seed))
 
 
 #: The two collapsing-angle pairings as specs, in COMPANION_SCALES order.

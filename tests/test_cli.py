@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from secantplane import (DEFAULT_DEGENERACY_FLOOR, Point2, ProbeConfig, Sequence
                          Verdict, default_sequence_specs, probe)
 from secantplane.cli import _CE_SUMMARY, _PAIRINGS, _csv, _g17, _json_block, build_parser, main
 from secantplane.expr import as_function, parse
+from secantplane.probe import DEFAULT_ANGLE_FLOOR, DEFAULT_MAX_STEPS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -297,6 +299,24 @@ class TestCounterexample:
     def test_bad_kmax_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "counterexample", "--kmax", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_rows_are_written_in_chunks_of_the_golden_text(self, fmt):
+        # kmax 1000 gives 2000 rows: a head, two chunks of 1000 rows and a
+        # tail, each written as it comes, which together are the golden text.
+        class CountedWrites(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountedWrites()
+        with contextlib.redirect_stdout(out):
+            assert main(["counterexample", "--kmax", "1000", "--format", fmt]) == 0
+        assert out.writes == 4
+        want = (GOLDEN / f"counterexample-kmax1000-{fmt}.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
 
     @pytest.mark.parametrize("kmax", [1, 9, 10, 11, 12])
     def test_rows_match_the_probe_steps_of_the_collapsing_pairings(self, capsys, kmax):
@@ -581,8 +601,8 @@ class TestCsvWriter:
 class TestEntryPoints:
     @pytest.mark.parametrize("command, shown", [
         ("estimate", [f"sin(theta) (default {DEFAULT_DEGENERACY_FLOOR:g})"]),
-        ("probe", [f"p in (0,1) (default {ProbeConfig.angle_floor:g})",
-                   f"max steps per sequence (default {ProbeConfig.max_steps:g}), at least 10"]),
+        ("probe", [f"p in (0,1) (default {DEFAULT_ANGLE_FLOOR:g})",
+                   f"max steps per sequence (default {DEFAULT_MAX_STEPS:g}), at least 10"]),
         ("counterexample", ["--kmax"]),
     ])
     def test_help_shows_library_defaults(self, capsys, command, shown):

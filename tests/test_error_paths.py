@@ -286,6 +286,22 @@ def test_dataclass_messages(build, cls, message):
     assert_raises_exactly(build, cls, message)
 
 
+# A named tuple's _make, which _replace calls, would skip __new__; the
+# records' own _make goes through it, so a copy is checked as a new value is.
+@pytest.mark.parametrize("build,cls,message", [
+    (lambda: Point2(1.0, 2.0)._replace(x=math.inf), ValueError, "x must be finite, got inf"),
+    (lambda: Point2._make([0.0, math.nan]), ValueError, "y must be finite, got nan"),
+    (lambda: ProbeConfig(RADIAL_PAIR)._replace(max_steps=3), InvalidSpec,
+     "max_steps must be at least 2*tail_window = 10, got 3"),
+    (lambda: SequenceSpec(SequenceKind.RANDOM_ANGLE_FLOOR)._replace(seed=-1), InvalidSpec,
+     "seed must be non-negative, got -1"),
+    (lambda: PlaneCoeffs(0.0, 0.0, 0.0, 1.0, 2.0)._replace(beta=math.inf), ValueError,
+     "beta must be finite, got inf"),
+], ids=["point-replace", "point-make", "config-replace", "spec-replace", "plane-replace"])
+def test_make_and_replace_validate(build, cls, message):
+    assert_raises_exactly(build, cls, message)
+
+
 @pytest.mark.parametrize("entry,message", [
     ("random:seed=abc", "random parameter 'seed' needs an integer, got 'abc' in 'random:seed=abc'"),
     ("random:floor=zz", "random parameter 'floor' needs a number, got 'zz' in 'random:floor=zz'"),

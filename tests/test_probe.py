@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import sys
@@ -476,8 +475,7 @@ class TestProbeConfigValidation:
     def test_fields_are_the_specs_the_angle_floor_and_the_step_limit(self):
         # The stopping policy is the module constants TAIL_WINDOW, CAUCHY_TOL
         # and AGREE_TOL, not settings.
-        assert [f.name for f in dataclasses.fields(ProbeConfig)] == [
-            "sequence_specs", "angle_floor", "max_steps"]
+        assert ProbeConfig._fields == ("sequence_specs", "angle_floor", "max_steps")
 
     def test_needs_two_specs(self):
         with pytest.raises(InvalidSpec):
