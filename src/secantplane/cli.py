@@ -391,11 +391,6 @@ def _counterexample_text(rows: Iterator[tuple], fmt: str) -> Iterator[str]:
         yield "limits: ab -> z = y; ac -> z = 2y; tangent plane -> z = 0\n"
 
 
-def _counterexample_json(rows: list[tuple]) -> str:
-    """The JSON document of ``rows``, whole, as ``counterexample`` writes it in chunks."""
-    return "".join(_counterexample_text(iter(rows), "json"))
-
-
 def cmd_counterexample(args) -> tuple[int, Iterator[str]]:
     """The first ``--kmax`` steps of each pairing's trajectory on x^2 + y^2, run
     here, so that every error is raised before ``main`` writes, and rendered

@@ -100,41 +100,25 @@ def _not_a_node(value) -> EvaluationError:
 
 
 # The nodes are named tuples, so a node equals any tuple of the same values.
-class Num(namedtuple("Num", "value")):
-    __slots__ = ()
-
-
-class Var(namedtuple("Var", "name")):  # 'x' or 'y'
-    __slots__ = ()
-
-
-class Const(namedtuple("Const", "name")):  # 'pi' or 'e'
-    __slots__ = ()
-
-
-class Neg(namedtuple("Neg", "operand")):
-    __slots__ = ()
-
-
-class BinOp(namedtuple("BinOp", "op left right")):  # op is one of + - * / ^
-    __slots__ = ()
-
-
-class Call(namedtuple("Call", "func arg")):
-    __slots__ = ()
-
+Num = namedtuple("Num", "value")
+Var = namedtuple("Var", "name")  # 'x' or 'y'
+Const = namedtuple("Const", "name")  # 'pi' or 'e'
+Neg = namedtuple("Neg", "operand")
+BinOp = namedtuple("BinOp", "op left right")  # op is one of + - * / ^
+Call = namedtuple("Call", "func arg")
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]
 
 
+# Every character starts a match: "bad" takes any that no token starts with,
+# and "." misses only "\n", which is whitespace.
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>\^|[-+*/()])
-    """,
-    re.VERBOSE,
-)
+      | (?P<bad>.)
+    """, re.VERBOSE)
 
 
 def _byte_offset(source: str, pos: int) -> int:
@@ -143,14 +127,11 @@ def _byte_offset(source: str, pos: int) -> int:
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(_byte_offset(source, pos), "a number, name, or operator")
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ParseError(_byte_offset(source, m.start()), "a number, name, or operator")
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+            tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 

@@ -31,7 +31,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateBasis, InvalidSpec, RadiusUnderflow
 from .geometry import (
@@ -97,15 +97,10 @@ class ProbeConfig(_Validated, namedtuple("ProbeConfig", "sequence_specs angle_fl
         return tuple.__new__(cls, (sequence_specs, angle_floor, max_steps))
 
 
-class TrajectoryStep(NamedTuple):
+class TrajectoryStep(namedtuple("TrajectoryStep", "k alpha beta sin_theta radius meets_floor")):
     """One step's record, a named tuple: it equals the plain tuple of its fields."""
 
-    k: int
-    alpha: float
-    beta: float
-    sin_theta: float
-    radius: float
-    meets_floor: bool
+    __slots__ = ()
 
 
 class CoefficientTrajectory(namedtuple("CoefficientTrajectory", "spec steps converged limit "

@@ -131,9 +131,12 @@ def generate(spec: SequenceSpec, k: int) -> tuple[Point2, Point2]:
     identical points, regardless of query order.
 
     Raises:
-        InvalidSpec: for k < 1 or an exhausted resample loop.
+        InvalidSpec: for a k that is not an integer (``True`` is step 1, as
+            ``seed`` takes it), for k < 1, or for an exhausted resample loop.
         RadiusUnderflow: if the step's radius would fall below MIN_RADIUS.
     """
+    if type(k) is not int:
+        k = _integer("step index", k)
     if k < 1:
         raise InvalidSpec(f"step index must be >= 1, got {k!r}")
 

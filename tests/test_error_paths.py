@@ -23,6 +23,7 @@ from secantplane import (
     Vec2,
     ZeroVector,
     angle_between,
+    counterexample_points,
     generate,
     normalized_inverse_entry_bound,
     orthogonal_companion,
@@ -300,6 +301,23 @@ def test_dataclass_messages(build, cls, message):
 ], ids=["point-replace", "point-make", "config-replace", "spec-replace", "plane-replace"])
 def test_make_and_replace_validate(build, cls, message):
     assert_raises_exactly(build, cls, message)
+
+
+# The step index is checked as seed and max_steps are: a float or a string is
+# no step, and True is step 1. A random spec's stream is seeded with the text
+# of k, so "2.0" or "True" would draw another step's points.
+@pytest.mark.parametrize("k", [2.0, 1.5, "1"])
+def test_step_index_must_be_an_integer(k):
+    message = f"step index must be an integer, got {k!r}"
+    for kind in SequenceKind:
+        assert_raises_exactly(lambda: generate(SequenceSpec(kind), k), InvalidSpec, message)
+    assert_raises_exactly(lambda: counterexample_points(k), InvalidSpec, message)
+
+
+@pytest.mark.parametrize("kind", SequenceKind, ids=lambda kind: kind.value)
+def test_step_index_true_is_step_one(kind):
+    spec = SequenceSpec(kind, seed=5)
+    assert generate(spec, True) == generate(spec, 1)
 
 
 @pytest.mark.parametrize("entry,message", [

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -14,6 +15,7 @@ from secantplane.expr import (
     Neg,
     Num,
     Var,
+    _tokenize,
     as_function,
     evaluate,
     parse,
@@ -99,6 +101,54 @@ class TestParsing:
 
     def test_unary_chain(self):
         assert parse("--x") == Neg(Neg(Var("x")))
+
+
+# An independent tokenizer to check ``_tokenize`` against: the token pattern
+# without a catch-all alternative, stepped by hand with ``match``, failing
+# where no token starts.
+_STEPPED_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>\^|[-+*/()])
+    """, re.VERBOSE)
+
+
+def _stepped_tokenize(source):
+    tokens, pos = [], 0
+    while pos < len(source):
+        m = _STEPPED_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(len(source[:pos].encode("utf-8")), "a number, name, or operator")
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except ParseError as exc:
+        return ("ParseError", exc.offset, exc.expected)
+
+
+# Token characters, characters that no token takes (",", "$", a non-ASCII
+# letter, and "." where it follows no digits), and characters that \d or \s
+# take beyond the ASCII digits and the space: an Arabic-Indic digit, a tab, a
+# newline and a line separator.
+_TOKEN_ALPHABET = "0123456789.eE+-*/^()xyzpi_s " + ",$\u00e9\u0663\t\n\u2028"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(_TOKEN_ALPHABET), max_size=24))
+@example("x % y")
+@example("\u00e9")
+@example("x\u2028+\u0663\n$")
+@example("1.e5,")
+def test_tokenize_matches_a_stepped_match_loop(source):
+    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(_stepped_tokenize, source)
 
 
 class TestPrecedence:

@@ -25,7 +25,7 @@ from secantplane import (
     Vec2,
     Verdict,
 )
-from secantplane.cli import _CE_COLUMNS, _counterexample_json, _json_block, _probe_json
+from secantplane.cli import _CE_COLUMNS, _counterexample_text, _json_block, _probe_json
 
 NAN, INF = math.nan, math.inf
 EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -129,7 +129,8 @@ rows = st.tuples(st.sampled_from(["ab", "ac"]), st.integers(min_value=1, max_val
 def test_counterexample_json_is_json_dumps_indent_2(drawn_rows):
     # The reference dumps dicts, keyed by the column names in column order.
     document = counterexample_document([dict(zip(_CE_COLUMNS, row)) for row in drawn_rows])
-    assert _counterexample_json(drawn_rows) == json.dumps(document, indent=2) + "\n"
+    text = "".join(_counterexample_text(iter(drawn_rows), "json"))
+    assert text == json.dumps(document, indent=2) + "\n"
 
 
 ESTIMATE_KEYS = ("alpha", "beta", "x0", "y0", "z0", "sin_theta")

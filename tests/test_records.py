@@ -2,14 +2,17 @@
 
 Every record is a ``tuple`` subclass made with ``collections.namedtuple``,
 except ``ProbeReport`` (see ``test_probe_report_is_the_only_dataclass``). A
-record that checks its fields does so in ``__new__``, which ``_make`` and
-``_replace`` go through too (``test_error_paths.py``).
+record has a ``class`` statement of its own only where the class adds a
+docstring, a check in ``__new__`` or a method; otherwise it is the bare named
+tuple. A record that checks its fields does so in ``__new__``, which ``_make``
+and ``_replace`` go through too (``test_error_paths.py``).
 """
 
 import copy
 import dataclasses
 import importlib
 import pickle
+from types import FunctionType
 
 import pytest
 
@@ -23,6 +26,7 @@ from secantplane import (
     SecantSample,
     SequenceKind,
     SequenceSpec,
+    TrajectoryStep,
     Vec2,
     angle_between,
     default_sequence_specs,
@@ -52,10 +56,11 @@ RECORDS = {
     Const: TREE.left.right,
     Num: TREE.right,
 }
+RECORDS[TrajectoryStep] = RECORDS[CoefficientTrajectory].steps[0]
 
 
 def test_every_record_type_is_listed_once():
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 15
     assert all(type(value) is cls for cls, value in RECORDS.items())
 
 
@@ -67,6 +72,18 @@ def test_record_is_a_read_only_tuple_without_a_dict(cls):
     assert value == tuple(value) and len(value) == len(cls._fields)
     with pytest.raises(AttributeError):
         setattr(value, cls._fields[0], None)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_class_exists_only_to_add_something(cls):
+    # A bare named tuple, or a subclass whose own body gives a docstring,
+    # __new__ (stored as a staticmethod) or a method: never one whose whole
+    # body is __slots__ = ().
+    if cls.__bases__ == (tuple,):
+        return
+    own = vars(cls)
+    assert own.get("__doc__") or any(
+        isinstance(value, (FunctionType, staticmethod, classmethod)) for value in own.values())
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
